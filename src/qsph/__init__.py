@@ -8,9 +8,11 @@ phase-estimation quantizer. Submodules:
 kernels        -- Gaussian / Wendland kernels, derivatives, peak constants
 discretization -- 1-D particle layouts with ghost particles
 quantum_state  -- dense state vectors and operators
-sph_encoding   -- the |a>, |W> construction and the reconstruction identity
+sph_encoding   -- the |a>, |W> construction, the reconstruction identity
+                  and the batched direct sums the experiments read out
 swap_test      -- overlap readout (exact / sampled / phase-quantized)
-harness        -- end-to-end experiments, RMS convergence, CSV output
+harness        -- end-to-end experiments as closed forms in Re <a|W>,
+                  RMS convergence, CSV output
 cli            -- `qsph run` and `qsph sweep`
 """
 from .discretization import (
@@ -40,6 +42,7 @@ from .sph_encoding import (
     encode,
     reconstruct,
     register_length,
+    sph_sums,
 )
 from .swap_test import (
     EstimationResult,
@@ -89,6 +92,7 @@ __all__ = [
     "run_experiment",
     "sample_points",
     "scaling_constant",
+    "sph_sums",
     "target_function",
     "uniform_discretise",
 ]

@@ -22,15 +22,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .discretization import Domain, sample_points, uniform_discretise
-from .kernels import KernelFamily, KernelSpec
+from .kernels import KernelFamily, KernelSpec, scaling_constant
 from .sph_encoding import (
     FunctionSamples,
-    classical_sph_sum,
-    encode,
+    build_a,
     integral_norm_estimate,
-    reconstruct,
+    register_length,
+    sph_sums,
 )
-from .swap_test import estimate_phase, estimate_sampled
 
 CSV_HEADER = ("x", "f_exact", "f_approx", "abs_error")
 SWEEP_HEADER = ("m", "kernel", "order", "rms")
@@ -74,8 +73,9 @@ class ExperimentConfig:
     smoothing_length None means the default rule h = 4 / 2^qubits; a float
     pins h (and a sweep then keeps it fixed across m). The estimator fields
     shots / seed / pe_qubits only matter for the matching estimator choice.
-    qubits is capped at 16: the dense register simulation is O(2^m) per
-    query point.
+    qubits is capped at 16. A run no longer builds the registers (its cost
+    per query point is set by the kernel support, not by 2^m), but the
+    dense register states the tests check it against are O(2^m) each.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -182,52 +182,92 @@ def thread_count() -> int:
     return n
 
 
+def shot_counts(p0: np.ndarray, shots: int, base_seed: int) -> np.ndarray:
+    """Ancilla |0> counts for query point j: draws below p0[j] out of shots.
+
+    Point j draws from the Philox stream keyed by point_seed(base_seed, j),
+    exactly the draws ``swap_test.estimate_sampled`` makes with that seed.
+    The draws release the GIL, so up to thread_count() points run at once;
+    the counts do not depend on the schedule.
+    """
+    def count(j: int) -> int:
+        rng = np.random.Generator(np.random.Philox(key=point_seed(base_seed, j)))
+        return int(np.count_nonzero(rng.random(shots) < p0[j]))
+
+    workers = thread_count()
+    if workers == 1:
+        return np.array([count(j) for j in range(p0.size)])
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return np.array(list(pool.map(count, range(p0.size))))
+
+
+def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
+    """Grid index k of the quantized angle per point, as ``estimate_phase``.
+
+    theta in [0, pi/2] with sin^2 theta = (1 + rho) / 2 snaps to the nearest
+    k pi / 2^n, ties toward the smaller k.
+    """
+    theta = np.arctan2(np.sqrt(1.0 + rho), np.sqrt(1.0 - rho))
+    grid = 2 ** pe_qubits
+    return np.clip(np.ceil(theta * grid / np.pi - 0.5), 0, grid - 1)
+
+
 def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
     """Approximate the target at every query point; rows in ascending x.
 
-    With estimator "exact" and norm_mode "exact" each value is computed by
-    direct kernel summation, the closed form of c N ||a|| Re<a|W>: the two
-    are the same sum term by term, and skipping the normalize/unnormalize
-    round trip keeps the output bit-identical to the classical oracle.
-    Every other configuration runs the full encode / estimate / reconstruct
-    path. Query points are independent and processed by a thread pool
-    (capped by QSPH_THREADS); ordering and seeding do not depend on the
-    schedule.
+    Every readout is a closed form in the direct sum S = sum_k a_k W_k at
+    each point, computed for all points at once by ``sph_sums``, and in
+    rho = Re <a|W> = S / (c N ||a||). ``|a>`` does not depend on x, so its
+    norm is computed once.
+
+    * exact:   S ||a||_used / ||a||; with the exact norm the ratio is 1.0,
+               so the output is bit-identical to ``classical_sph_sum``.
+    * sampled: c N ||a||_used (2 k / shots - 1), with k the shot counts of
+               ``shot_counts`` at p0 = (1 + rho) / 2.
+    * phase:   c N ||a||_used (2 sin^2(theta_k) - 1), with theta_k the
+               quantized angle of ``phase_index``.
+
+    ||a||_used is the exact norm or, with norm_mode "integral", its
+    quadrature estimate. The results equal what the dense registers of
+    ``sph_encoding.encode`` and the ``swap_test`` estimators give, up to
+    rounding; the tests check that they do.
     """
     disc = uniform_discretise(config.domain, config.num_particles,
                               config.boundary_particles)
     samples = FunctionSamples.from_function(disc, target_function,
                                             boundary=config.boundary_values)
     spec = KernelSpec(config.kernel, config.derivative_order, config.h)
-    approx_norm = None
-    if config.norm_mode == "integral":
-        approx_norm = integral_norm_estimate(config.domain, target_function,
-                                             config.num_particles)
     xs = sample_points(config.domain, config.eval_points)
+    _, exact_norm = build_a(disc, samples)
+    norm_a = exact_norm
+    if config.norm_mode == "integral":
+        norm_a = integral_norm_estimate(config.domain, target_function,
+                                        config.num_particles)
+        if not norm_a > 0.0:
+            raise ValueError("approximate norm must be positive")
+    n = register_length(disc.total_count)
+    c = scaling_constant(spec)
+    sums = sph_sums(disc, samples, spec, xs, register_len=n)
 
-    def one_point(j: int) -> ExperimentRow:
-        x = float(xs[j])
-        exact = target_function(x, config.derivative_order)
-        if config.estimator == "exact" and approx_norm is None:
-            approx = classical_sph_sum(disc, samples, spec, x)
+    if config.estimator == "exact":
+        approx = sums * (norm_a / exact_norm)
+    else:
+        rho = np.clip(sums / (c * n * exact_norm), -1.0, 1.0)
+        if config.estimator == "sampled":
+            counts = shot_counts((1.0 + rho) / 2.0, config.shots, config.seed)
+            estimate = 2.0 * counts / config.shots - 1.0
         else:
-            pair = encode(disc, samples, spec, x, approx_norm)
-            if config.estimator == "exact":
-                approx = reconstruct(pair)
-            elif config.estimator == "sampled":
-                res = estimate_sampled(pair.state_a, pair.state_w, config.shots,
-                                       seed=point_seed(config.seed, j))
-                approx = reconstruct(pair, overlap_real=res.estimate)
-            else:
-                res = estimate_phase(pair.state_a, pair.state_w, config.pe_qubits)
-                approx = reconstruct(pair, overlap_real=res.estimate)
-        return ExperimentRow(x, exact, approx, abs(exact - approx))
+            grid = 2 ** config.pe_qubits
+            theta = phase_index(rho, config.pe_qubits) * np.pi / grid
+            estimate = 2.0 * np.sin(theta) ** 2 - 1.0
+        approx = c * n * norm_a * np.clip(estimate, -1.0, 1.0)
 
-    workers = thread_count()
-    if workers == 1:
-        return [one_point(j) for j in range(config.eval_points)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(one_point, range(config.eval_points)))
+    rows = []
+    for x, a in zip(xs.tolist(), approx.tolist()):
+        # the scalar form: the array form can round differently in the last bit
+        t = target_function(x, config.derivative_order)
+        rows.append(ExperimentRow(x, t, a, abs(t - a)))
+    return rows
 
 
 def all_finite(rows: list[ExperimentRow]) -> bool:

@@ -72,13 +72,16 @@ def _gaussian(order: int, r, h: float):
 def _wendland(order: int, r, h: float):
     q = np.abs(r) / h
     inside = q <= 2.0
-    # evaluate the polynomial piece everywhere, then mask outside the support
+    # evaluate the polynomial piece everywhere, then mask outside the support;
+    # powers of t are products, an array ** 4 or ** 3 costs a libm pow per value
+    t = 1.0 - 0.5 * q
+    t2 = t * t
     if order == 0:
-        val = 0.75 / h * (1.0 - 0.5 * q) ** 4 * (2.0 * q + 1.0)
+        val = 0.75 / h * (t2 * t2) * (2.0 * q + 1.0)
     elif order == 1:
-        val = -3.75 / h ** 2 * q * (1.0 - 0.5 * q) ** 3 * np.sign(r)
+        val = -3.75 / h ** 2 * q * (t2 * t) * np.sign(r)
     else:
-        val = -3.75 / h ** 3 * (1.0 - 0.5 * q) ** 2 * (1.0 - 2.0 * q)
+        val = -3.75 / h ** 3 * t2 * (1.0 - 2.0 * q)
     return np.where(inside, val, 0.0)
 
 

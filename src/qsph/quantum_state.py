@@ -106,10 +106,12 @@ def normalize(raw) -> tuple[StateVector, float]:
     """Unit state and Euclidean norm of a raw amplitude vector.
 
     The input factors as norm * state. All-zero input has no normalizable
-    state and raises ValueError.
+    state, and input whose norm exceeds the largest double has no finite
+    norm; both raise ValueError.
     """
     raw = np.asarray(raw, dtype=complex)
-    norm = float(np.linalg.norm(raw))
+    with np.errstate(over="ignore"):  # an overflowed norm is rescaled below
+        norm = float(np.linalg.norm(raw))
     if norm < _SQRT_TINY or not math.isfinite(norm):
         # the sum of squares went subnormal or overflowed; rescale by a power
         # of two near the largest component and retry (entries near 1e-246
@@ -123,7 +125,11 @@ def normalize(raw) -> tuple[StateVector, float]:
         exponent = math.frexp(scale)[1]
         scaled = np.ldexp(raw.real, -exponent) + 1j * np.ldexp(raw.imag, -exponent)
         unit_norm = float(np.linalg.norm(scaled))
-        return StateVector(scaled / unit_norm), math.ldexp(unit_norm, exponent)
+        try:
+            norm = math.ldexp(unit_norm, exponent)
+        except OverflowError:
+            raise ValueError("cannot normalize: the norm exceeds the largest double") from None
+        return StateVector(scaled / unit_norm), norm
     return StateVector(raw / norm), norm
 
 

@@ -23,8 +23,12 @@ which holds for ANY register length N >= particle count because the c N
 factor cancels the 1 / (c N) scaling inside |W>. The imaginary closure
 never leaks into the real part since |a> is real.
 
-``classical_sph_sum`` performs the direct summation and is the ground
-truth every encoded reconstruction is tested against.
+``sph_sums`` performs the direct summation for a batch of query points,
+each over the particles inside the kernel support; ``classical_sph_sum``
+is its one-point form and the ground truth every encoded reconstruction
+is tested against. Since Re <a|W> is that sum over c N ||a||, the
+experiment harness reads every overlap from ``sph_sums`` and never builds
+the registers; ``encode`` and ``reconstruct`` remain the dense reference.
 """
 from __future__ import annotations
 
@@ -36,6 +40,9 @@ import numpy as np
 from .discretization import Domain, ParticleDiscretisation
 from .kernels import KernelSpec, evaluate, scaling_constant
 from .quantum_state import StateVector, inner_product, normalize
+
+# most kernel values sph_sums gathers at once: 512 KB of doubles per array
+BLOCK_VALUES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -146,6 +153,19 @@ def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray]
     return float(np.sqrt(domain.length / n_subintervals * integral))
 
 
+def check_closure(peak: float, c: float, register_len: int) -> None:
+    """Raise ValueError unless a kernel value of modulus ``peak`` fits a slot.
+
+    Slot k of |W> needs the closure radicand 1/N - (W_k / (c N))^2 to be
+    nonnegative. |W| <= c guarantees it; a wrong c or kernel breaks it. The
+    radicand falls as |W_k| grows, so checking the largest |W_k| checks all.
+    """
+    n = register_len
+    if not 1.0 / n - (peak / (c * n)) ** 2 >= 0.0:
+        raise ValueError(f"closure: kernel value {float(peak)!r} breaks |W/(cN)|^2 <= 1/N "
+                         f"for c = {c!r}, N = {n}")
+
+
 def build_w(disc: ParticleDiscretisation, spec: KernelSpec, eval_point: float,
             register_len: int) -> tuple[StateVector, float]:
     """Register state |W> holding the scaled kernel samples for one query point.
@@ -162,10 +182,10 @@ def build_w(disc: ParticleDiscretisation, spec: KernelSpec, eval_point: float,
 
     c = scaling_constant(spec)
     n = register_len
-    scaled = evaluate(spec, eval_point - disc.positions) / (c * n)
+    kernel = evaluate(spec, eval_point - disc.positions)
+    check_closure(np.max(np.abs(kernel)), c, n)
+    scaled = kernel / (c * n)
     radicand = 1.0 / n - scaled ** 2
-    # |W| <= c makes |scaled| <= 1/N, so the radicand cannot go negative
-    assert radicand.min() >= 0.0, "kernel scaling must keep |W/(cN)| within 1/N"
     amps = np.full(n, 1j / np.sqrt(n), dtype=complex)
     amps[:count] = scaled + 1j * np.sqrt(radicand)
     return StateVector(amps), c
@@ -192,14 +212,60 @@ def reconstruct(pair: EncodedPair, overlap_real: float | None = None) -> float:
     return pair.c * pair.n_register * pair.norm_a * float(overlap_real)
 
 
-def classical_sph_sum(disc: ParticleDiscretisation, samples: FunctionSamples,
-                      spec: KernelSpec, eval_point: float) -> float:
-    """Direct summation sum_k f_k dx_k W(eval_point - r_k, h), all particles.
+def support_window(disc: ParticleDiscretisation, spec: KernelSpec) -> int:
+    """Most particles inside any closed interval of length 2 support_radius.
 
-    This is the oracle the register encoding must reproduce.
+    Depends only on the layout and the kernel, so every query point sums
+    over the same number of particles whatever batch it comes in.
+    """
+    pos = disc.positions
+    reach = np.searchsorted(pos, pos + 2.0 * spec.support_radius, side="right")
+    return int(np.max(reach - np.arange(pos.size)))
+
+
+def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: KernelSpec,
+             eval_points, register_len: int | None = None) -> np.ndarray:
+    """Direct sums sum_k f_k dx_k W(x - r_k, h) for a 1-D array of query points.
+
+    Each point sums over a contiguous window of ``support_window`` particles
+    starting at the first one no further than support_radius below it
+    (shifted left where the layout ends). The window holds every particle
+    within support_radius; the rest carry exact zeros (Wendland) or less
+    than exp(-64) of the peak (Gaussian). Points go in blocks of at most
+    ``BLOCK_VALUES`` kernel values.
+
+    With ``register_len`` set, the kernel values must also pass build_w's
+    closure check for that register length (``check_closure``).
     """
     values = samples.values
     if values.size != disc.total_count:
         raise ValueError(f"got {values.size} samples for {disc.total_count} particles")
-    w = evaluate(spec, eval_point - disc.positions)
-    return float(np.sum(values * disc.widths * w))
+    xs = np.asarray(eval_points, dtype=float)
+    if xs.ndim != 1:
+        raise ValueError("query points must form a 1-D array")
+    pos = disc.positions
+    coeff = values * disc.widths
+    width = support_window(disc, spec)
+    starts = np.searchsorted(pos, xs - spec.support_radius, side="left")
+    starts = np.minimum(starts, pos.size - width)
+    window = np.arange(width)
+    c = None if register_len is None else scaling_constant(spec)
+    sums = np.empty(xs.size)
+    step = max(1, BLOCK_VALUES // width)
+    for lo in range(0, xs.size, step):
+        idx = starts[lo:lo + step, None] + window
+        kernel = evaluate(spec, xs[lo:lo + step, None] - pos[idx])
+        if c is not None:
+            check_closure(np.max(np.abs(kernel)), c, register_len)
+        sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
+    return sums
+
+
+def classical_sph_sum(disc: ParticleDiscretisation, samples: FunctionSamples,
+                      spec: KernelSpec, eval_point: float) -> float:
+    """Direct summation sum_k f_k dx_k W(eval_point - r_k, h).
+
+    The one-point call of ``sph_sums``, so a batched sum reproduces it bit
+    for bit. This is the oracle the register encoding must reproduce.
+    """
+    return float(sph_sums(disc, samples, spec, [eval_point])[0])

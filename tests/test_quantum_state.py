@@ -48,6 +48,19 @@ def test_normalize_subnormal_input():
     np.testing.assert_allclose(s.amplitudes, [(1 + 1j) / math.sqrt(2)], rtol=1e-15)
 
 
+@pytest.mark.parametrize("raw", [[1.7e308 + 1.7e308j], [1e308] * 4])
+def test_normalize_rejects_a_norm_beyond_the_largest_double(raw):
+    with pytest.raises(ValueError, match="largest double"):
+        normalize(raw)
+
+
+def test_normalize_rescales_an_overflowing_sum_of_squares():
+    # 1e200 squared overflows, but the norm 2e200 is a finite double
+    s, n = normalize([1e200] * 4)
+    assert n == pytest.approx(2e200, rel=1e-15)
+    np.testing.assert_allclose(s.amplitudes, [0.5] * 4, rtol=1e-15)
+
+
 def test_normalize_rejects_zero_vector():
     with pytest.raises(ValueError):
         normalize([0.0, 0.0, 0.0])

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import qsph.sph_encoding
 from qsph.discretization import Domain, from_edges, uniform_discretise
+from qsph.harness import ExperimentConfig, run_experiment
 from qsph.kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.sph_encoding import (
     EncodedPair,
@@ -18,6 +20,8 @@ from qsph.sph_encoding import (
     integral_norm_estimate,
     reconstruct,
     register_length,
+    sph_sums,
+    support_window,
 )
 
 GAUSSIAN = KernelFamily.GAUSSIAN
@@ -174,6 +178,72 @@ def test_build_w_real_parts_reproduce_kernel_values():
     recovered = state.amplitudes.real[:disc.total_count] * (c * 32)
     np.testing.assert_allclose(recovered, evaluate(spec, x - disc.positions),
                                rtol=1e-12, atol=1e-15)
+
+
+def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
+    # a c far below max |W| pushes |W/(cN)|^2 past the 1/N slot budget
+    monkeypatch.setattr(qsph.sph_encoding, "scaling_constant", lambda spec: 1e-9)
+    disc = uniform_discretise(Domain(-1.0, 1.0), 16, n_boundary_each_end=2)
+    samples = FunctionSamples.from_function(disc, runge)
+    spec = KernelSpec(GAUSSIAN, 0, 0.25)
+    with pytest.raises(ValueError, match="closure"):
+        build_w(disc, spec, 0.1, 32)
+    with pytest.raises(ValueError, match="closure"):
+        sph_sums(disc, samples, spec, [0.1], register_len=32)
+    with pytest.raises(ValueError, match="closure"):
+        run_experiment(ExperimentConfig(qubits=4, eval_points=5))
+    # the plain direct sum has no register, so nothing to check
+    sph_sums(disc, samples, spec, [0.1])
+
+
+def test_support_window_counts_particles_in_the_support():
+    for m in (6, 10):
+        disc = uniform_discretise(Domain(-1.0, 1.0), 2 ** m, n_boundary_each_end=4)
+        h = 4.0 / 2 ** m
+        assert support_window(disc, KernelSpec(WENDLAND, 0, h)) == 9
+        assert support_window(disc, KernelSpec(GAUSSIAN, 2, h)) == 33
+    # a support wider than the layout takes every particle
+    disc = uniform_discretise(Domain(-1.0, 1.0), 8)
+    assert support_window(disc, KernelSpec(GAUSSIAN, 0, 1.0)) == 8
+
+
+def test_sph_sums_match_the_full_direct_sum():
+    disc = from_edges(np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, 40)), 3)
+    samples = FunctionSamples.from_function(disc, runge)
+    xs = np.linspace(-1.3, 1.3, 57)
+    for fam in (GAUSSIAN, WENDLAND):
+        for order in (0, 1, 2):
+            spec = KernelSpec(fam, order, 0.07)
+            full = [np.sum(samples.values * disc.widths * evaluate(spec, x - disc.positions))
+                    for x in xs]
+            scale = scaling_constant(spec) * np.sum(np.abs(samples.values * disc.widths))
+            np.testing.assert_allclose(sph_sums(disc, samples, spec, xs), full,
+                                       rtol=0.0, atol=1e-14 * scale)
+
+
+def test_sph_sums_do_not_depend_on_the_block_size(monkeypatch):
+    disc = uniform_discretise(Domain(-1.0, 1.0), 256, n_boundary_each_end=4)
+    samples = FunctionSamples.from_function(disc, runge)
+    xs = np.linspace(-1.0, 1.0, 301)
+    for fam in (GAUSSIAN, WENDLAND):
+        spec = KernelSpec(fam, 1, 4.0 / 256)
+        whole = sph_sums(disc, samples, spec, xs)
+        monkeypatch.setattr(qsph.sph_encoding, "BLOCK_VALUES", 50)
+        blocked = sph_sums(disc, samples, spec, xs)
+        monkeypatch.undo()
+        np.testing.assert_array_equal(blocked, whole)
+        singles = [classical_sph_sum(disc, samples, spec, x) for x in xs]
+        np.testing.assert_array_equal(whole, singles)
+
+
+def test_sph_sums_validate_their_inputs():
+    disc = uniform_discretise(Domain(0.0, 1.0), 4)
+    spec = KernelSpec(GAUSSIAN, 0, 0.2)
+    with pytest.raises(ValueError):
+        sph_sums(disc, FunctionSamples(np.ones(5)), spec, [0.5])
+    with pytest.raises(ValueError):
+        sph_sums(disc, FunctionSamples(np.ones(4)), spec, [[0.5]])
+    assert sph_sums(disc, FunctionSamples(np.ones(4)), spec, []).shape == (0,)
 
 
 def test_encode_assembles_pair():

@@ -247,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             raise ValueError("approximate norm must be positive")
     n = register_length(disc.total_count)
     c = scaling_constant(spec)
-    sums = sph_sums(disc, samples, spec, xs, register_len=n)
+    sums = sph_sums(disc, samples, spec, xs)
 
     if config.estimator == "exact":
         approx = sums * (norm_a / exact_norm)

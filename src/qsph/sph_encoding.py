@@ -224,7 +224,7 @@ def support_window(disc: ParticleDiscretisation, spec: KernelSpec) -> int:
 
 
 def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: KernelSpec,
-             eval_points, register_len: int | None = None) -> np.ndarray:
+             eval_points) -> np.ndarray:
     """Direct sums sum_k f_k dx_k W(x - r_k, h) for a 1-D array of query points.
 
     Each point sums over a contiguous window of ``support_window`` particles
@@ -232,10 +232,9 @@ def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: Kerne
     (shifted left where the layout ends). The window holds every particle
     within support_radius; the rest carry exact zeros (Wendland) or less
     than exp(-64) of the peak (Gaussian). Points go in blocks of at most
-    ``BLOCK_VALUES`` kernel values.
-
-    With ``register_len`` set, the kernel values must also pass build_w's
-    closure check for that register length (``check_closure``).
+    ``BLOCK_VALUES`` kernel values. The kernel values must pass build_w's
+    closure check (``check_closure``) for the smallest register that holds
+    the particles, N = register_length(total_count), the strictest N.
     """
     values = samples.values
     if values.size != disc.total_count:
@@ -249,14 +248,14 @@ def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: Kerne
     starts = np.searchsorted(pos, xs - spec.support_radius, side="left")
     starts = np.minimum(starts, pos.size - width)
     window = np.arange(width)
-    c = None if register_len is None else scaling_constant(spec)
+    c = scaling_constant(spec)
+    n = register_length(disc.total_count)
     sums = np.empty(xs.size)
     step = max(1, BLOCK_VALUES // width)
     for lo in range(0, xs.size, step):
         idx = starts[lo:lo + step, None] + window
         kernel = evaluate(spec, xs[lo:lo + step, None] - pos[idx])
-        if c is not None:
-            check_closure(np.max(np.abs(kernel)), c, register_len)
+        check_closure(np.max(np.abs(kernel)), c, n)
         sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
     return sums
 

@@ -80,7 +80,7 @@ def test_closed_forms_match_the_dense_registers(disc, family, order, h, boundary
     # the same stages as run_experiment
     _, exact_norm = build_a(disc, samples)
     norm_a = exact_norm if approx_norm is None else approx_norm
-    sums = sph_sums(disc, samples, spec, xs, register_len=n)
+    sums = sph_sums(disc, samples, spec, xs)
     rho = np.clip(sums / (c * n * exact_norm), -1.0, 1.0)
     p0 = (1.0 + rho) / 2.0
     counts = shot_counts(p0, shots, seed)

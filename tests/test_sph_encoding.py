@@ -189,11 +189,9 @@ def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
     with pytest.raises(ValueError, match="closure"):
         build_w(disc, spec, 0.1, 32)
     with pytest.raises(ValueError, match="closure"):
-        sph_sums(disc, samples, spec, [0.1], register_len=32)
+        sph_sums(disc, samples, spec, [0.1])
     with pytest.raises(ValueError, match="closure"):
         run_experiment(ExperimentConfig(qubits=4, eval_points=5))
-    # the plain direct sum has no register, so nothing to check
-    sph_sums(disc, samples, spec, [0.1])
 
 
 def test_support_window_counts_particles_in_the_support():

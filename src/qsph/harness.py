@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import csv
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -54,13 +52,15 @@ def target_function(x, order: int = 0):
     Scalar in, float out; ndarray in, ndarray out.
     """
     xa = np.asarray(x, dtype=float)
-    den = 1.0 + 25.0 * xa ** 2
+    # products, not pow: array and scalar pow round differently in the last bit
+    x2 = xa * xa
+    den = 1.0 + 25.0 * x2
     if order == 0:
         out = 1.0 / den
     elif order == 1:
-        out = -50.0 * xa / den ** 2
+        out = -50.0 * xa / (den * den)
     elif order == 2:
-        out = 50.0 * (75.0 * xa ** 2 - 1.0) / den ** 3
+        out = 50.0 * (75.0 * x2 - 1.0) / (den * den * den)
     else:
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
     return float(out) if np.isscalar(x) else out
@@ -158,47 +158,16 @@ class ExperimentRow:
                 f"abs_error {self.abs_error!r} is not |f_exact - f_approx| = {expected!r}")
 
 
-def point_seed(base_seed: int, index: int) -> int:
-    """Per-query-point Philox key, a pure function of (base_seed, index).
-
-    Keying streams by point index (not by draw order) keeps sampled results
-    bit-identical under any parallel schedule.
-    """
-    seq = np.random.SeedSequence([base_seed, index])
-    return int(seq.generate_state(1, np.uint64)[0])
-
-
-def thread_count() -> int:
-    """Worker cap: QSPH_THREADS if set, else a small machine-derived default."""
-    raw = os.environ.get("QSPH_THREADS")
-    if raw is None:
-        return min(4, os.cpu_count() or 1)
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"QSPH_THREADS: must be a positive integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"QSPH_THREADS: must be a positive integer, got {raw!r}")
-    return n
-
-
 def shot_counts(p0: np.ndarray, shots: int, base_seed: int) -> np.ndarray:
-    """Ancilla |0> counts for query point j: draws below p0[j] out of shots.
+    """Ancilla |0> counts per query point: one Binomial(shots, p0[j]) draw each.
 
-    Point j draws from the Philox stream keyed by point_seed(base_seed, j),
-    exactly the draws ``swap_test.estimate_sampled`` makes with that seed.
-    The draws release the GIL, so up to thread_count() points run at once;
-    the counts do not depend on the schedule.
+    Every shot at point j is a Bernoulli trial with the same p0[j], so the
+    count is exactly binomial. All points draw, in index order, from one
+    Philox stream keyed by base_seed. A seed gives bit-identical counts under
+    a given numpy version; numpy does not promise its binomial stream across
+    versions.
     """
-    def count(j: int) -> int:
-        rng = np.random.Generator(np.random.Philox(key=point_seed(base_seed, j)))
-        return int(np.count_nonzero(rng.random(shots) < p0[j]))
-
-    workers = thread_count()
-    if workers == 1:
-        return np.array([count(j) for j in range(p0.size)])
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return np.array(list(pool.map(count, range(p0.size))))
+    return np.random.Generator(np.random.Philox(key=base_seed)).binomial(shots, p0)
 
 
 def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
@@ -222,8 +191,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
 
     * exact:   S ||a||_used / ||a||; with the exact norm the ratio is 1.0,
                so the output is bit-identical to ``classical_sph_sum``.
-    * sampled: c N ||a||_used (2 k / shots - 1), with k the shot counts of
-               ``shot_counts`` at p0 = (1 + rho) / 2.
+    * sampled: c N ||a||_used (2 k / shots - 1), with k ~ Binomial(shots,
+               p0) the counts of ``shot_counts`` at p0 = (1 + rho) / 2,
+               drawn for all points from one Philox stream keyed by seed.
     * phase:   c N ||a||_used (2 sin^2(theta_k) - 1), with theta_k the
                quantized angle of ``phase_index``.
 
@@ -262,12 +232,9 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
             estimate = 2.0 * np.sin(theta) ** 2 - 1.0
         approx = c * n * norm_a * np.clip(estimate, -1.0, 1.0)
 
-    rows = []
-    for x, a in zip(xs.tolist(), approx.tolist()):
-        # the scalar form: the array form can round differently in the last bit
-        t = target_function(x, config.derivative_order)
-        rows.append(ExperimentRow(x, t, a, abs(t - a)))
-    return rows
+    truth = target_function(xs, config.derivative_order)
+    return [ExperimentRow(x, t, a, abs(t - a))
+            for x, t, a in zip(xs.tolist(), truth.tolist(), approx.tolist())]
 
 
 def all_finite(rows: list[ExperimentRow]) -> bool:

@@ -19,9 +19,9 @@ which would shift every eigenphase by pi and offset the angle readout.)
 Three estimators are provided:
 
 * exact     -- computes Re <x|y> from the amplitudes (baseline / oracle),
-* sampled   -- draws ancilla measurements shot by shot from a
-               counter-based (Philox) stream, reproducible and
-               order-independent for a fixed seed,
+* sampled   -- draws the ancilla |0> count of all shots as one
+               Binomial(shots, p0) variate from a Philox stream keyed by
+               the seed, reproducible for a fixed seed and numpy version,
 * phase     -- an idealized phase-estimation quantizer: snaps theta to the
                nearest grid point k pi / 2^n, guaranteeing
                |theta - estimate| <= pi / 2^{n+1}.
@@ -166,15 +166,17 @@ def estimate_sampled(x: StateVector, y: StateVector, shots: int,
                      seed: int = 0) -> EstimationResult:
     """Shot-sampled ancilla readout: estimate = 2 (count of |0>) / shots - 1.
 
-    Shot i consumes draw i of a Philox counter-based stream keyed by the
-    seed, so the result is bit-identical however the shots are scheduled.
+    The shots are independent trials with the same p0, so the count of |0>
+    is one Binomial(shots, p0) draw from a Philox stream keyed by the seed:
+    bit-identical for a given seed and numpy version.
     """
     if shots < 1:
         raise ValueError("shots must be positive")
     s = build_swap_state(x, y)
     p0, _ = s.block_probabilities()
+    p0 = min(1.0, max(0.0, p0))  # the block sum can exceed 1 by an ulp
     rng = np.random.Generator(np.random.Philox(key=seed))
-    count0 = int(np.count_nonzero(rng.random(shots) < p0))
+    count0 = int(rng.binomial(shots, p0))
     estimate = 2.0 * count0 / shots - 1.0
     return EstimationResult("sampled", min(1.0, max(-1.0, estimate)),
                             shots=shots, seed=seed)

@@ -16,13 +16,11 @@ from qsph.harness import (
     ExperimentRow,
     all_finite,
     decompose_error,
-    point_seed,
     read_rows,
     rms_error,
     run_convergence_sweep,
     run_experiment,
     target_function,
-    thread_count,
     write_rows_path,
     write_sweep_path,
 )
@@ -44,12 +42,13 @@ def test_target_function_hand_values():
 
 
 def test_target_function_scalar_and_array_forms():
-    xs = np.array([-0.5, 0.0, 0.3])
-    out = target_function(xs, order=1)
-    assert isinstance(out, np.ndarray)
-    assert isinstance(target_function(0.3, order=1), float)
-    for x, v in zip(xs, out):
-        assert v == target_function(float(x), order=1)
+    """The array form is bit-identical to the scalar form at every point."""
+    xs = sample_points(Domain(-1.0, 1.0), 2001)
+    for order in (0, 1, 2):
+        out = target_function(xs, order=order)
+        assert isinstance(out, np.ndarray)
+        assert isinstance(target_function(0.3, order=order), float)
+        assert out.tolist() == [target_function(x, order=order) for x in xs.tolist()]
 
 
 def test_target_function_derivatives_match_finite_differences():
@@ -173,41 +172,15 @@ def test_all_finite_flags_nan_rows():
     assert not all_finite(good + [ExperimentRow(0.1, 1.0, math.nan, math.nan)])
 
 
-def test_sampled_run_is_deterministic_and_schedule_independent(monkeypatch):
+def test_sampled_run_is_deterministic_per_seed():
     cfg = ExperimentConfig(qubits=5, eval_points=7, estimator="sampled",
                            shots=400, seed=3)
-    monkeypatch.setenv("QSPH_THREADS", "1")
-    serial = run_experiment(cfg)
-    repeat = run_experiment(cfg)
-    monkeypatch.setenv("QSPH_THREADS", "4")
-    pooled = run_experiment(cfg)
-    assert serial == repeat
-    assert serial == pooled
+    first = run_experiment(cfg)
+    assert first == run_experiment(cfg)
     other_seed = run_experiment(
         ExperimentConfig(qubits=5, eval_points=7, estimator="sampled",
                          shots=400, seed=4))
-    assert any(a != b for a, b in zip(serial, other_seed))
-
-
-def test_point_seed_is_a_pure_function_of_base_and_index():
-    assert point_seed(5, 7) == point_seed(5, 7)
-    assert point_seed(5, 7) != point_seed(5, 8)
-    assert point_seed(5, 7) != point_seed(6, 7)
-    expected = int(np.random.SeedSequence([5, 7]).generate_state(1, np.uint64)[0])
-    assert point_seed(5, 7) == expected
-
-
-def test_thread_count_reads_environment(monkeypatch):
-    monkeypatch.setenv("QSPH_THREADS", "3")
-    assert thread_count() == 3
-    monkeypatch.setenv("QSPH_THREADS", "abc")
-    with pytest.raises(ConfigError, match="QSPH_THREADS"):
-        thread_count()
-    monkeypatch.setenv("QSPH_THREADS", "0")
-    with pytest.raises(ConfigError, match="QSPH_THREADS"):
-        thread_count()
-    monkeypatch.delenv("QSPH_THREADS")
-    assert thread_count() >= 1
+    assert any(a != b for a, b in zip(first, other_seed))
 
 
 def test_sweep_rms_strictly_decreases_for_smooth_target():
@@ -273,16 +246,17 @@ def test_decompose_error_exact_configuration_is_pure_discretisation():
     assert rms["total"] == rms["discretisation"]
 
 
-def test_decompose_error_telescopes_to_the_configured_run(monkeypatch):
-    monkeypatch.setenv("QSPH_THREADS", "1")
+def test_decompose_error_telescopes_to_the_configured_run():
     cfg = ExperimentConfig(qubits=5, eval_points=9, estimator="sampled",
                            shots=100, seed=11, norm_mode="integral")
     d = decompose_error(cfg)
     assert np.any(d.norm_approximation != 0.0)
     assert np.any(d.shot_noise != 0.0)
     assert np.all(d.quantization == 0.0)
-    final = np.array([r.f_approx for r in run_experiment(cfg)])
+    rows = run_experiment(cfg)
+    final = np.array([r.f_approx for r in rows])
     truth = target_function(d.x, cfg.derivative_order)
+    assert truth.tolist() == [r.f_exact for r in rows]
     np.testing.assert_allclose(truth + d.total, final, rtol=0.0, atol=1e-12)
 
 

@@ -85,6 +85,20 @@ def test_build_a_rejects_length_mismatch():
         build_a(disc, FunctionSamples(np.ones(5)))
 
 
+def test_build_a_subnormal_samples_have_a_finite_norm():
+    disc = uniform_discretise(Domain(0.0, 1.0), 4)
+    state, norm = build_a(disc, FunctionSamples(np.full(4, 3.54e-309)))
+    np.testing.assert_allclose(state.amplitudes, [0.5, 0.5, 0.5, 0.5], rtol=0.0, atol=1e-15)
+    assert 0.0 < norm < math.inf
+    assert norm == pytest.approx(2.0 * 3.54e-309 * 0.25, rel=1e-12)
+
+
+def test_build_a_rejects_samples_whose_norm_overflows():
+    disc = uniform_discretise(Domain(0.0, 4.0), 4)
+    with pytest.raises(ValueError, match="largest double"):
+        build_a(disc, FunctionSamples(np.full(4, 1.7e308)))
+
+
 def test_build_a_approx_norm_passthrough():
     disc = uniform_discretise(Domain(0.0, 1.0), 4)
     samples = FunctionSamples.from_function(disc, lambda x: np.ones_like(x))

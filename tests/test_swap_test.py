@@ -180,6 +180,23 @@ def test_estimate_sampled_deterministic():
     assert a.estimate != c.estimate  # different stream, almost surely
 
 
+def test_estimate_sampled_is_one_binomial_draw():
+    rng = np.random.default_rng(18)
+    x, y = random_pair(rng)
+    p0, _ = build_swap_state(x, y).block_probabilities()
+    for shots, seed in ((1, 0), (30, 5), (10_000, 123)):
+        count0 = np.random.Generator(np.random.Philox(key=seed)).binomial(shots, p0)
+        r = estimate_sampled(x, y, shots=shots, seed=seed)
+        assert r.estimate == 2.0 * count0 / shots - 1.0
+
+
+def test_estimate_sampled_clamps_p0_rounded_above_one():
+    # (1, 2, 2) / 3 rounded up in the last bit: the |0> block sums to 1 + 1 ulp
+    x = StateVector(np.array([0.33333333333333337, 0.6666666666666667, 0.6666666666666667]))
+    assert build_swap_state(x, x).block_probabilities()[0] > 1.0
+    assert estimate_sampled(x, x, shots=50, seed=0).estimate == 1.0
+
+
 def test_estimate_sampled_rejects_bad_shots():
     z0 = basis_state(2, 0)
     with pytest.raises(ValueError):

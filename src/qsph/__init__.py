@@ -12,7 +12,7 @@ sph_encoding   -- the |a>, |W> construction, the reconstruction identity
                   and the batched direct sums the experiments read out
 swap_test      -- overlap readout (exact / sampled / phase-quantized)
 harness        -- end-to-end experiments as closed forms in Re <a|W>,
-                  RMS convergence, CSV output
+                  returned as float columns; RMS convergence, CSV output
 cli            -- `qsph run` and `qsph sweep`
 """
 from .discretization import (
@@ -25,8 +25,8 @@ from .discretization import (
 )
 from .harness import (
     ConfigError,
+    Curve,
     ExperimentConfig,
-    ExperimentRow,
     decompose_error,
     rms_error,
     run_convergence_sweep,
@@ -59,12 +59,12 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ConfigError",
+    "Curve",
     "DiscretisationError",
     "Domain",
     "EncodedPair",
     "EstimationResult",
     "ExperimentConfig",
-    "ExperimentRow",
     "FunctionSamples",
     "KernelFamily",
     "KernelSpec",

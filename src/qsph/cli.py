@@ -35,7 +35,7 @@ _DEFAULTS = {
     "qubits": 8,
     "points": 300,
     "domain": (-1.0, 1.0),
-    "boundary_particles": 4,
+    "boundary_particles": None,  # derived from the kernel support
     "h": None,
     "norm": "exact",
     "estimator": "exact",
@@ -59,7 +59,9 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--qubits", type=int, help="register size m; 2^m particles")
     p.add_argument("--points", type=int, help="number of query points (default 300)")
     p.add_argument("--domain", type=float, nargs=2, metavar=("A", "B"))
-    p.add_argument("--boundary-particles", type=int, help="ghost particles per end")
+    p.add_argument("--boundary-particles", type=int,
+                   help="ghost particles per end (default derived: "
+                        "ceil(support radius / dx) + 1)")
     p.add_argument("--h", type=float,
                    help="explicit smoothing length (default rule: 4/2^m)")
     p.add_argument("--norm", choices=["exact", "integral"],
@@ -130,6 +132,9 @@ def _config_from(merged: dict) -> ExperimentConfig:
         domain = Domain(float(dom[0]), float(dom[1]))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"domain: {exc}") from None
+    ghosts = merged["boundary_particles"]
+    if ghosts is not None:
+        ghosts = _as_int(merged, "boundary_particles")
     h = merged["h"]
     if h is not None:
         try:
@@ -142,7 +147,7 @@ def _config_from(merged: dict) -> ExperimentConfig:
         qubits=_as_int(merged, "qubits"),
         domain=domain,
         eval_points=_as_int(merged, "points"),
-        boundary_particles=_as_int(merged, "boundary_particles"),
+        boundary_particles=ghosts,
         smoothing_length=h,
         norm_mode=merged["norm"],
         estimator=merged["estimator"],
@@ -156,15 +161,15 @@ def _config_from(merged: dict) -> ExperimentConfig:
 
 def _cmd_run(ns: argparse.Namespace) -> int:
     config = _config_from(_merge_settings(ns))
-    rows = run_experiment(config)
-    if not all_finite(rows):
-        print("numerical failure: non-finite values in the result rows",
+    curve = run_experiment(config)
+    if not all_finite(curve):
+        print("numerical failure: non-finite values in the result curve",
               file=sys.stderr)
         return EXIT_NUMERIC
     if config.output_path:
-        write_rows_path(config.output_path, rows)
+        write_rows_path(config.output_path, curve)
     else:
-        write_rows(sys.stdout, rows)
+        write_rows(sys.stdout, curve)
     return EXIT_OK
 
 

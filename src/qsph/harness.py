@@ -5,17 +5,19 @@ first or second derivative) over a 1-D domain: discretise into 2^m
 subintervals with ghost particles at each end, sample f at the particles,
 encode, estimate the overlap, reconstruct, and compare against the analytic
 value at a set of query points. Emits per-point CSV curves and RMS
-convergence sweeps over the register size m.
+convergence sweeps over the register size m. A run's result is columnar: one
+``Curve`` of float arrays, written as CSV in one formatting call.
 
 Derivatives come from swapping in the derivative kernel; the particle
 samples are always plain function values. The smoothing length follows
-h = 4 / 2^m unless set explicitly.
+h = 4 / 2^m unless set explicitly, and the ghost count per end is
+ceil(support_radius / dx) + 1 unless set explicitly.
 """
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -71,7 +73,11 @@ class ExperimentConfig:
     """One experiment: kernel, derivative order, register size, estimator.
 
     smoothing_length None means the default rule h = 4 / 2^qubits; a float
-    pins h (and a sweep then keeps it fixed across m). The estimator fields
+    pins h (and a sweep then keeps it fixed across m). boundary_particles
+    None means the ghost count per end is derived from the kernel support,
+    ceil(support_radius / dx) + 1: 17 for the Gaussian and 5 for Wendland at
+    h = 2 dx, enough that no query point's support leaves the particles; an
+    int pins it (and a sweep keeps it). The estimator fields
     shots / seed / pe_qubits only matter for the matching estimator choice.
     qubits is capped at 16. A run no longer builds the registers (its cost
     per query point is set by the kernel support, not by 2^m), but the
@@ -83,7 +89,7 @@ class ExperimentConfig:
     qubits: int = 8
     domain: Domain = Domain(-1.0, 1.0)
     eval_points: int = 300
-    boundary_particles: int = 4
+    boundary_particles: int | None = None
     smoothing_length: float | None = None
     norm_mode: str = "exact"
     estimator: str = "exact"
@@ -109,7 +115,7 @@ class ExperimentConfig:
             raise ConfigError(f"domain: expected a Domain, got {self.domain!r}")
         if self.eval_points < 2:
             raise ConfigError(f"eval_points: need at least 2, got {self.eval_points}")
-        if self.boundary_particles < 1:
+        if self.boundary_particles is not None and self.boundary_particles < 1:
             raise ConfigError(
                 f"boundary_particles: must be positive, got {self.boundary_particles}")
         if self.smoothing_length is not None and not self.smoothing_length > 0.0:
@@ -139,23 +145,53 @@ class ExperimentConfig:
             return self.smoothing_length
         return 4.0 / 2 ** self.qubits
 
+    @property
+    def kernel_spec(self) -> KernelSpec:
+        return KernelSpec(self.kernel, self.derivative_order, self.h)
 
-@dataclass(frozen=True)
-class ExperimentRow:
-    """One query point: exact value, approximation, absolute error."""
+    @property
+    def ghosts_per_end(self) -> int:
+        if self.boundary_particles is not None:
+            return self.boundary_particles
+        dx = self.domain.length / self.num_particles
+        return math.ceil(self.kernel_spec.support_radius / dx) + 1
 
-    x: float
-    f_exact: float
-    f_approx: float
-    abs_error: float
+
+def _freeze_columns(obj, names) -> None:
+    """Store each named field as a read-only 1-D float array of one length."""
+    n = len(getattr(obj, names[0]))
+    for name in names:
+        arr = np.asarray(getattr(obj, name), dtype=float)
+        if arr.ndim != 1 or len(arr) != n:
+            raise ValueError(f"{name}: expected a length-{n} 1-D array")
+        arr.flags.writeable = False
+        object.__setattr__(obj, name, arr)
+
+
+@dataclass(frozen=True, eq=False)
+class Curve:
+    """A run's result as columns: query points in ascending order, the exact
+    value, the approximation and abs_error = |f_exact - f_approx| there.
+
+    abs_error is computed from the other two, so it is never inconsistent.
+    len() is the number of query points.
+    """
+
+    x: np.ndarray
+    f_exact: np.ndarray
+    f_approx: np.ndarray
+    abs_error: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
-        expected = abs(self.f_exact - self.f_approx)
-        consistent = expected == self.abs_error or (
-            math.isnan(expected) and math.isnan(self.abs_error))
-        if not consistent:
-            raise ValueError(
-                f"abs_error {self.abs_error!r} is not |f_exact - f_approx| = {expected!r}")
+        _freeze_columns(self, ("x", "f_exact", "f_approx"))
+        # non-finite values give nan or inf errors, as Python floats do, silently
+        with np.errstate(over="ignore", invalid="ignore"):
+            abs_error = np.abs(self.f_exact - self.f_approx)
+        abs_error.flags.writeable = False
+        object.__setattr__(self, "abs_error", abs_error)
+
+    def __len__(self) -> int:
+        return len(self.x)
 
 
 def shot_counts(p0: np.ndarray, shots: int, base_seed: int) -> np.ndarray:
@@ -181,32 +217,18 @@ def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
     return np.clip(np.ceil(theta * grid / np.pi - 0.5), 0, grid - 1)
 
 
-def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
-    """Approximate the target at every query point; rows in ascending x.
+def _direct_sums(config: ExperimentConfig):
+    """The sums every readout starts from, for the configured layout.
 
-    Every readout is a closed form in the direct sum S = sum_k a_k W_k at
-    each point, computed for all points at once by ``sph_sums``, and in
-    rho = Re <a|W> = S / (c N ||a||). ``|a>`` does not depend on x, so its
-    norm is computed once.
-
-    * exact:   S ||a||_used / ||a||; with the exact norm the ratio is 1.0,
-               so the output is bit-identical to ``classical_sph_sum``.
-    * sampled: c N ||a||_used (2 k / shots - 1), with k ~ Binomial(shots,
-               p0) the counts of ``shot_counts`` at p0 = (1 + rho) / 2,
-               drawn for all points from one Philox stream keyed by seed.
-    * phase:   c N ||a||_used (2 sin^2(theta_k) - 1), with theta_k the
-               quantized angle of ``phase_index``.
-
-    ||a||_used is the exact norm or, with norm_mode "integral", its
-    quadrature estimate. The results equal what the dense registers of
-    ``sph_encoding.encode`` and the ``swap_test`` estimators give, up to
-    rounding; the tests check that they do.
+    Returns the query points, S = sum_k a_k W_k at each of them (one
+    ``sph_sums`` pass), the exact ||a||, the norm the run uses (the exact
+    one or, with norm_mode "integral", its quadrature estimate) and c N.
     """
     disc = uniform_discretise(config.domain, config.num_particles,
-                              config.boundary_particles)
+                              config.ghosts_per_end)
     samples = FunctionSamples.from_function(disc, target_function,
                                             boundary=config.boundary_values)
-    spec = KernelSpec(config.kernel, config.derivative_order, config.h)
+    spec = config.kernel_spec
     xs = sample_points(config.domain, config.eval_points)
     _, exact_norm = build_a(disc, samples)
     norm_a = exact_norm
@@ -215,38 +237,71 @@ def run_experiment(config: ExperimentConfig) -> list[ExperimentRow]:
                                         config.num_particles)
         if not norm_a > 0.0:
             raise ValueError("approximate norm must be positive")
-    n = register_length(disc.total_count)
-    c = scaling_constant(spec)
-    sums = sph_sums(disc, samples, spec, xs)
+    cn = scaling_constant(spec) * register_length(disc.total_count)
+    return xs, sph_sums(disc, samples, spec, xs), exact_norm, norm_a, cn
 
-    if config.estimator == "exact":
-        approx = sums * (norm_a / exact_norm)
+
+def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
+             exact_norm: float, norm_a: float, cn: float) -> np.ndarray:
+    """The values an estimator reads out of the direct sums S = sums.
+
+    rho = Re <a|W> = S / (c N ||a||), and norm_a is the ||a|| the readout
+    multiplies back (exact or estimated):
+
+    * exact:   S norm_a / ||a||; with the exact norm the ratio is 1.0,
+               so the output is bit-identical to ``classical_sph_sum``.
+    * sampled: c N norm_a (2 k / shots - 1), with k ~ Binomial(shots, p0)
+               the counts of ``shot_counts`` at p0 = (1 + rho) / 2, drawn
+               for all points from one Philox stream keyed by seed.
+    * phase:   c N norm_a (2 sin^2(theta_k) - 1), with theta_k the
+               quantized angle of ``phase_index``.
+    """
+    if estimator == "exact":
+        return sums * (norm_a / exact_norm)
+    rho = np.clip(sums / (cn * exact_norm), -1.0, 1.0)
+    if estimator == "sampled":
+        counts = shot_counts((1.0 + rho) / 2.0, config.shots, config.seed)
+        estimate = 2.0 * counts / config.shots - 1.0
     else:
-        rho = np.clip(sums / (c * n * exact_norm), -1.0, 1.0)
-        if config.estimator == "sampled":
-            counts = shot_counts((1.0 + rho) / 2.0, config.shots, config.seed)
-            estimate = 2.0 * counts / config.shots - 1.0
-        else:
-            grid = 2 ** config.pe_qubits
-            theta = phase_index(rho, config.pe_qubits) * np.pi / grid
-            estimate = 2.0 * np.sin(theta) ** 2 - 1.0
-        approx = c * n * norm_a * np.clip(estimate, -1.0, 1.0)
-
-    truth = target_function(xs, config.derivative_order)
-    return [ExperimentRow(x, t, a, abs(t - a))
-            for x, t, a in zip(xs.tolist(), truth.tolist(), approx.tolist())]
+        grid = 2 ** config.pe_qubits
+        theta = phase_index(rho, config.pe_qubits) * np.pi / grid
+        estimate = 2.0 * np.sin(theta) ** 2 - 1.0
+    return cn * norm_a * np.clip(estimate, -1.0, 1.0)
 
 
-def all_finite(rows: list[ExperimentRow]) -> bool:
-    """False as soon as any exact or approximated value is NaN or infinite."""
-    return all(math.isfinite(r.f_exact) and math.isfinite(r.f_approx) for r in rows)
+def run_experiment(config: ExperimentConfig) -> Curve:
+    """Approximate the target at every query point, as one ``Curve``.
+
+    Every readout is a closed form (see ``_readout``) in the direct sum
+    S = sum_k a_k W_k at each point, computed for all points at once by
+    ``sph_sums``, and in rho = Re <a|W> = S / (c N ||a||). ``|a>`` does not
+    depend on x, so its norm is computed once. The exact values come from
+    one array call of ``target_function``; no per-point object is built.
+    The results equal what the dense registers of ``sph_encoding.encode``
+    and the ``swap_test`` estimators give, up to rounding; the tests check
+    that they do.
+    """
+    xs, sums, exact_norm, norm_a, cn = _direct_sums(config)
+    approx = _readout(config.estimator, config, sums, exact_norm, norm_a, cn)
+    return Curve(xs, target_function(xs, config.derivative_order), approx)
 
 
-def rms_error(rows: list[ExperimentRow]) -> float:
-    """sqrt(mean of squared errors) over the query points."""
-    if not rows:
-        raise ValueError("rms_error needs at least one row")
-    return math.sqrt(math.fsum(r.abs_error ** 2 for r in rows) / len(rows))
+def all_finite(curve: Curve) -> bool:
+    """False if any exact or approximated value is NaN or infinite."""
+    return bool(np.isfinite(curve.f_exact).all() and np.isfinite(curve.f_approx).all())
+
+
+def rms_error(curve: Curve) -> float:
+    """sqrt(mean of squared errors) over the query points.
+
+    Squares with Python ``**``, one value at a time: libm pow(v, 2) and
+    v * v differ in the last bit for some doubles, and the sweep CSV keeps
+    the values pow gives.
+    """
+    if not len(curve):
+        raise ValueError("rms_error needs at least one point")
+    errors = curve.abs_error.tolist()
+    return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
 
 
 def run_convergence_sweep(base: ExperimentConfig,
@@ -269,28 +324,55 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-def write_rows(stream, rows: list[ExperimentRow]) -> None:
-    """CSV with header x,f_exact,f_approx,abs_error and LF line endings."""
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(CSV_HEADER)
-    for r in rows:
-        w.writerow([_fmt(r.x), _fmt(r.f_exact), _fmt(r.f_approx), _fmt(r.abs_error)])
+# one curve CSV line; "%.17g" formats a double as format(v, ".17g") does
+_ROW_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
 
 
-def write_rows_path(path: str, rows: list[ExperimentRow]) -> None:
+def write_rows(stream, curve: Curve) -> None:
+    """CSV with header x,f_exact,f_approx,abs_error and LF line endings.
+
+    The whole table is formatted in one operation. No field ever needs
+    quoting, so the bytes are those of ``csv.writer`` with ``_fmt``.
+    """
+    table = np.column_stack((curve.x, curve.f_exact, curve.f_approx, curve.abs_error))
+    stream.write(",".join(CSV_HEADER) + "\n"
+                 + (_ROW_FORMAT * len(curve)) % tuple(table.ravel().tolist()))
+
+
+def write_rows_path(path: str, curve: Curve) -> None:
     with open(path, "w", newline="") as fh:
-        write_rows(fh, rows)
+        write_rows(fh, curve)
 
 
-def read_rows(path: str) -> list[ExperimentRow]:
-    """Parse a curve CSV back into rows; exact inverse of write_rows_path."""
+def read_rows(path: str) -> Curve:
+    """Parse a curve CSV back into a Curve; exact inverse of write_rows_path.
+
+    Raises ValueError naming the line of a row without exactly four fields,
+    of a field that is not a float, or of an abs_error that is not
+    |f_exact - f_approx| (NaN matches NaN).
+    """
+    rows = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = tuple(next(reader, ()))
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}")
-        return [ExperimentRow(float(x), float(fe), float(fa), float(ae))
-                for x, fe, fa, ae in reader]
+        for fields in reader:
+            where = f"{path}, line {reader.line_num}"
+            if len(fields) != len(CSV_HEADER):
+                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, "
+                                 f"got {len(fields)}")
+            try:
+                x, fe, fa, ae = (float(v) for v in fields)
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from None
+            expected = abs(fe - fa)
+            if not (expected == ae or (math.isnan(expected) and math.isnan(ae))):
+                raise ValueError(f"{where}: abs_error {ae!r} is not "
+                                 f"|f_exact - f_approx| = {expected!r}")
+            rows.append((x, fe, fa))
+    x, fe, fa = np.array(rows, dtype=float).reshape(-1, 3).T
+    return Curve(x, fe, fa)
 
 
 def write_sweep(stream, entries: list[tuple[int, float]],
@@ -329,14 +411,8 @@ class ErrorDecomposition:
     quantization: np.ndarray
 
     def __post_init__(self) -> None:
-        n = len(self.x)
-        for name in ("x", "discretisation", "norm_approximation",
-                     "shot_noise", "quantization"):
-            arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.ndim != 1 or len(arr) != n:
-                raise ValueError(f"{name}: expected a length-{n} 1-D array")
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        _freeze_columns(self, ("x", "discretisation", "norm_approximation",
+                               "shot_noise", "quantization"))
 
     @property
     def total(self) -> np.ndarray:
@@ -355,24 +431,19 @@ class ErrorDecomposition:
 def decompose_error(config: ExperimentConfig) -> ErrorDecomposition:
     """Attribute the configured run's error additively to its sources.
 
-    Runs the exact baseline, then toggles norm approximation and the
-    configured estimator one at a time, differencing each stage against the
-    previous one.
+    Computes the direct sums once, then reads out the exact baseline, the
+    configured norm and the configured estimator from them, differencing
+    each stage against the previous one.
     """
-    xs = sample_points(config.domain, config.eval_points)
+    xs, sums, exact_norm, norm_a, cn = _direct_sums(config)
     truth = target_function(xs, config.derivative_order)
-    base_rows = run_experiment(replace(config, estimator="exact", norm_mode="exact"))
-    base = np.array([r.f_approx for r in base_rows])
-    if config.norm_mode == "integral":
-        norm_rows = run_experiment(replace(config, estimator="exact"))
-        norm_vals = np.array([r.f_approx for r in norm_rows])
-    else:
-        norm_vals = base
+    base = _readout("exact", config, sums, exact_norm, exact_norm, cn)
+    norm_vals = _readout("exact", config, sums, exact_norm, norm_a, cn)
     zeros = np.zeros_like(base)
     shot_delta = zeros
     quant_delta = zeros
     if config.estimator != "exact":
-        final = np.array([r.f_approx for r in run_experiment(config)])
+        final = _readout(config.estimator, config, sums, exact_norm, norm_a, cn)
         if config.estimator == "sampled":
             shot_delta = final - norm_vals
         else:

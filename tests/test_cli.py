@@ -16,12 +16,17 @@ import pytest
 import qsph
 from qsph import cli
 from qsph.harness import (
+    Curve,
     ExperimentConfig,
-    ExperimentRow,
     read_rows,
     run_convergence_sweep,
     run_experiment,
 )
+
+
+def _columns(curve):
+    return [col.tolist() for col in (curve.x, curve.f_exact, curve.f_approx,
+                                     curve.abs_error)]
 
 
 def test_run_writes_curve_file(tmp_path):
@@ -29,7 +34,7 @@ def test_run_writes_curve_file(tmp_path):
     code = cli.main(["run", "--qubits", "4", "--points", "5", "--out", str(out)])
     assert code == 0
     expected = run_experiment(ExperimentConfig(qubits=4, eval_points=5))
-    assert read_rows(str(out)) == expected
+    assert _columns(read_rows(str(out))) == _columns(expected)
 
 
 def test_run_streams_csv_to_stdout(capsys):
@@ -39,9 +44,8 @@ def test_run_streams_csv_to_stdout(capsys):
     assert len(lines) == 4
     # 17 significant digits: parsing the text recovers the doubles bit-exactly
     expected = run_experiment(ExperimentConfig(qubits=4, eval_points=3))
-    for line, row in zip(lines[1:], expected):
-        x, fe, fa, ae = (float(tok) for tok in line.split(","))
-        assert ExperimentRow(x, fe, fa, ae) == row
+    for line, row in zip(lines[1:], zip(*_columns(expected))):
+        assert tuple(float(tok) for tok in line.split(",")) == row
 
 
 def test_run_respects_domain_flag(capsys):
@@ -78,8 +82,8 @@ def test_config_file_supplies_settings(tmp_path):
     cfg.write_text(json.dumps({"qubits": 4, "points": 5}))
     out = tmp_path / "curve.csv"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert read_rows(str(out)) == run_experiment(
-        ExperimentConfig(qubits=4, eval_points=5))
+    assert _columns(read_rows(str(out))) == _columns(run_experiment(
+        ExperimentConfig(qubits=4, eval_points=5)))
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -126,7 +130,7 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
 
 
 def test_non_finite_rows_exit_3(monkeypatch, capsys):
-    bad = [ExperimentRow(0.0, 1.0, math.nan, math.nan)]
+    bad = Curve([0.0], [1.0], [math.nan])
     monkeypatch.setattr(cli, "run_experiment", lambda config: bad)
     assert cli.main(["run", "--qubits", "4", "--points", "3"]) == 3
     assert "non-finite" in capsys.readouterr().err

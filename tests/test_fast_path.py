@@ -118,10 +118,10 @@ def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
     for order in (0, 1, 2):
         cfg = ExperimentConfig(kernel=family, derivative_order=order, qubits=12,
                                eval_points=300)
-        disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.boundary_particles)
+        disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.ghosts_per_end)
         samples = FunctionSamples.from_function(disc, target_function)
         spec = KernelSpec(family, order, cfg.h)
-        got = [row.f_approx for row in run_experiment(cfg)]
+        got = run_experiment(cfg).f_approx.tolist()
         want = [classical_sph_sum(disc, samples, spec, x)
                 for x in sample_points(cfg.domain, 300)]
         assert got == want
@@ -129,7 +129,7 @@ def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
 
 def _dense_run(cfg: ExperimentConfig) -> list[float]:
     """The per-point register pipeline: encode, estimate, reconstruct."""
-    disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.boundary_particles)
+    disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.ghosts_per_end)
     samples = FunctionSamples.from_function(disc, target_function,
                                             boundary=cfg.boundary_values)
     spec = KernelSpec(cfg.kernel, cfg.derivative_order, cfg.h)
@@ -162,10 +162,10 @@ def test_run_experiment_matches_the_dense_pipeline(estimator, norm_mode):
         cfg = ExperimentConfig(kernel=family, derivative_order=order, qubits=7,
                                eval_points=41, norm_mode=norm_mode, estimator=estimator,
                                shots=500, seed=9, pe_qubits=9, boundary_values=boundary)
-        rows = run_experiment(cfg)
+        curve = run_experiment(cfg)
         dense = _dense_run(cfg)
-        assert [r.f_exact for r in rows] == [target_function(r.x, order) for r in rows]
-        got = [r.f_approx for r in rows]
+        assert curve.f_exact.tolist() == [target_function(x, order) for x in curve.x.tolist()]
+        got = curve.f_approx.tolist()
         if estimator == "exact":
             scale = max(abs(v) for v in dense)
             np.testing.assert_allclose(got, dense, rtol=0.0, atol=1e-13 * scale)

@@ -1,6 +1,9 @@
 """Harness tests: target function, config validation, experiment runs,
 CSV round trips, convergence sweeps and the additive error decomposition."""
+import csv
+import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,9 +14,9 @@ from qsph.discretization import Domain, sample_points, uniform_discretise
 from qsph.harness import (
     CSV_HEADER,
     ConfigError,
+    Curve,
     ErrorDecomposition,
     ExperimentConfig,
-    ExperimentRow,
     all_finite,
     decompose_error,
     read_rows,
@@ -21,6 +24,7 @@ from qsph.harness import (
     run_convergence_sweep,
     run_experiment,
     target_function,
+    write_rows,
     write_rows_path,
     write_sweep_path,
 )
@@ -32,6 +36,11 @@ from qsph.sph_encoding import FunctionSamples, classical_sph_sum
 ORACLE_M8_GAUSSIAN_X0 = 0.9969757644043343
 ORACLE_M8_GAUSSIAN_X025 = 0.39091206622722563
 ORACLE_M8_WENDLAND_X025 = 0.3899590506001094
+
+
+def _columns(curve):
+    return [col.tolist() for col in (curve.x, curve.f_exact, curve.f_approx,
+                                     curve.abs_error)]
 
 
 def test_target_function_hand_values():
@@ -73,6 +82,15 @@ def test_config_default_smoothing_length_rule():
     assert ExperimentConfig(qubits=8, smoothing_length=0.5).h == 0.5
 
 
+def test_config_derives_ghosts_from_the_kernel_support():
+    """ceil(support_radius / dx) + 1 per end unless set explicitly."""
+    assert ExperimentConfig(qubits=8).ghosts_per_end == 17  # 8h = 16 dx
+    assert ExperimentConfig(kernel="wendland", qubits=8).ghosts_per_end == 5  # 2h = 4 dx
+    assert ExperimentConfig(qubits=8, boundary_particles=4).ghosts_per_end == 4
+    pinned_h = ExperimentConfig(qubits=4, smoothing_length=0.3)
+    assert pinned_h.ghosts_per_end == math.ceil(8 * 0.3 / (2 / 16)) + 1
+
+
 def test_config_accepts_kernel_name_string():
     cfg = ExperimentConfig(kernel="wendland")
     assert cfg.kernel is KernelFamily.WENDLAND
@@ -98,30 +116,76 @@ def test_config_rejections_name_the_field(kwargs, field):
         ExperimentConfig(**kwargs)
 
 
-def test_experiment_row_enforces_error_consistency():
-    ExperimentRow(0.5, 1.0, 0.75, 0.25)
-    with pytest.raises(ValueError):
-        ExperimentRow(0.5, 1.0, 0.75, 0.3)
+def test_read_rows_enforces_error_consistency(tmp_path):
+    path = tmp_path / "curve.csv"
+    header = ",".join(CSV_HEADER) + "\n"
+    path.write_text(header + "0.5,1,0.75,0.25\n")
+    assert _columns(read_rows(str(path))) == [[0.5], [1.0], [0.75], [0.25]]
+    path.write_text(header + "0.5,1,0.75,0.25\n0.5,1,0.75,0.3\n")
+    with pytest.raises(ValueError, match="line 3: abs_error"):
+        read_rows(str(path))
     # NaN approximations are representable as long as the error is NaN too
-    ExperimentRow(0.5, 1.0, math.nan, math.nan)
+    path.write_text(header + "0.5,1,nan,nan\n")
+    assert math.isnan(read_rows(str(path)).abs_error[0])
+
+
+@pytest.mark.parametrize("line, fragment", [
+    ("0.5,1,0.75\n", "line 3: expected 4 fields, got 3"),
+    ("0.5,1,0.75,0.25,0\n", "line 3: expected 4 fields, got 5"),
+    ("\n", "line 3: expected 4 fields, got 0"),
+    ("0.5,1,zz,0.25\n", "line 3: could not convert"),
+])
+def test_read_rows_names_the_line_of_a_malformed_row(tmp_path, line, fragment):
+    path = tmp_path / "curve.csv"
+    path.write_text(",".join(CSV_HEADER) + "\n0,1,1,0\n" + line)
+    with pytest.raises(ValueError, match=fragment):
+        read_rows(str(path))
+
+
+def test_curve_derives_abs_error_and_freezes_its_columns():
+    curve = Curve([0.0, 0.5], [1.0, 1.0], [0.75, math.nan])
+    assert len(curve) == 2
+    assert curve.abs_error[0] == 0.25 and math.isnan(curve.abs_error[1])
+    for col in (curve.x, curve.f_exact, curve.f_approx, curve.abs_error):
+        assert col.dtype == np.float64 and not col.flags.writeable
+    with pytest.raises(ValueError, match="f_approx"):
+        Curve([0.0, 0.5], [1.0, 1.0], [0.75])
 
 
 def test_rms_error_hand_value():
-    rows = [ExperimentRow(0.0, 3.0, 0.0, 3.0), ExperimentRow(1.0, 4.0, 0.0, 4.0)]
-    assert rms_error(rows) == math.sqrt(12.5)
+    curve = Curve([0.0, 1.0], [3.0, 4.0], [0.0, 0.0])
+    assert rms_error(curve) == math.sqrt(12.5)
 
 
 def test_rms_error_rejects_empty_input():
     with pytest.raises(ValueError):
-        rms_error([])
+        rms_error(Curve([], [], []))
 
 
 @settings(deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=10.0), min_size=1, max_size=30))
 def test_rms_error_matches_quadratic_mean(errors):
-    rows = [ExperimentRow(float(i), e, 0.0, e) for i, e in enumerate(errors)]
+    curve = Curve(np.arange(len(errors)), errors, np.zeros(len(errors)))
     expected = float(np.sqrt(np.mean(np.asarray(errors) ** 2)))
-    assert rms_error(rows) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+    assert rms_error(curve) == pytest.approx(expected, rel=1e-12, abs=1e-300)
+
+
+def test_rms_error_squares_with_pow_bit_for_bit():
+    """The sweep RMS squares each error with Python ** (libm pow), not v * v."""
+    drawn = np.random.default_rng(0).uniform(0.0, 1.0, 200_000).tolist()
+    e = [v for v in drawn if v ** 2 != v * v]
+    if not e:
+        pytest.skip("libm pow(v, 2) rounds like v * v for every drawn value")
+
+    def rms(values, square):
+        return math.sqrt(math.fsum(square(v) for v in values) / len(values))
+
+    pairs = [e[k:k + 2] for k in range(0, len(e) - 1, 2)]
+    for values in pairs + [e]:
+        curve = Curve(np.zeros(len(values)), values, np.zeros(len(values)))
+        assert rms_error(curve) == rms(values, lambda v: v ** 2)
+    # the check has teeth: squaring by product would change some results
+    assert any(rms(p, lambda v: v ** 2) != rms(p, lambda v: v * v) for p in pairs)
 
 
 def test_exact_run_matches_direct_summation_bitwise():
@@ -133,20 +197,22 @@ def test_exact_run_matches_direct_summation_bitwise():
     samples = FunctionSamples.from_function(disc, target_function)
     spec = KernelSpec(cfg.kernel, 0, cfg.h)
     assert len(rows) == 9
-    for row in rows:
-        assert row.f_exact == target_function(row.x)
-        assert row.f_approx == classical_sph_sum(disc, samples, spec, row.x)
-        assert row.abs_error == abs(row.f_exact - row.f_approx)
+    for x, f_exact, f_approx, abs_error in zip(*_columns(rows)):
+        assert f_exact == target_function(x)
+        assert f_approx == classical_sph_sum(disc, samples, spec, x)
+        assert abs_error == abs(f_exact - f_approx)
 
 
 def test_exact_run_hits_frozen_oracle_values():
-    rows = run_experiment(ExperimentConfig(qubits=8, eval_points=9))
-    assert rows[4].x == 0.0
-    assert rows[4].f_approx == pytest.approx(ORACLE_M8_GAUSSIAN_X0, rel=1e-13)
-    assert rows[5].x == 0.25
-    assert rows[5].f_approx == pytest.approx(ORACLE_M8_GAUSSIAN_X025, rel=1e-13)
-    wrows = run_experiment(ExperimentConfig(kernel="wendland", qubits=8, eval_points=9))
-    assert wrows[5].f_approx == pytest.approx(ORACLE_M8_WENDLAND_X025, rel=1e-13)
+    # the oracle values were frozen with 4 ghosts per end
+    rows = run_experiment(ExperimentConfig(qubits=8, eval_points=9, boundary_particles=4))
+    assert rows.x[4] == 0.0
+    assert rows.f_approx[4] == pytest.approx(ORACLE_M8_GAUSSIAN_X0, rel=1e-13)
+    assert rows.x[5] == 0.25
+    assert rows.f_approx[5] == pytest.approx(ORACLE_M8_GAUSSIAN_X025, rel=1e-13)
+    wrows = run_experiment(ExperimentConfig(kernel="wendland", qubits=8, eval_points=9,
+                                            boundary_particles=4))
+    assert wrows.f_approx[5] == pytest.approx(ORACLE_M8_WENDLAND_X025, rel=1e-13)
 
 
 def test_integral_norm_is_a_pure_rescaling():
@@ -162,25 +228,25 @@ def test_integral_norm_is_a_pure_rescaling():
     from qsph.sph_encoding import integral_norm_estimate
     ratio = integral_norm_estimate(base.domain, target_function,
                                    base.num_particles) / exact_norm
-    for er, ir in zip(exact_rows, integral_rows):
-        assert ir.f_approx == pytest.approx(er.f_approx * ratio, rel=1e-12)
+    for er, ir in zip(exact_rows.f_approx.tolist(), integral_rows.f_approx.tolist()):
+        assert ir == pytest.approx(er * ratio, rel=1e-12)
 
 
 def test_all_finite_flags_nan_rows():
-    good = [ExperimentRow(0.0, 1.0, 0.5, 0.5)]
-    assert all_finite(good)
-    assert not all_finite(good + [ExperimentRow(0.1, 1.0, math.nan, math.nan)])
+    assert all_finite(Curve([0.0], [1.0], [0.5]))
+    assert not all_finite(Curve([0.0, 0.1], [1.0, 1.0], [0.5, math.nan]))
+    assert not all_finite(Curve([0.0, 0.1], [1.0, math.inf], [0.5, 0.5]))
 
 
 def test_sampled_run_is_deterministic_per_seed():
     cfg = ExperimentConfig(qubits=5, eval_points=7, estimator="sampled",
                            shots=400, seed=3)
-    first = run_experiment(cfg)
-    assert first == run_experiment(cfg)
-    other_seed = run_experiment(
+    first = _columns(run_experiment(cfg))
+    assert first == _columns(run_experiment(cfg))
+    other_seed = _columns(run_experiment(
         ExperimentConfig(qubits=5, eval_points=7, estimator="sampled",
-                         shots=400, seed=4))
-    assert any(a != b for a, b in zip(first, other_seed))
+                         shots=400, seed=4)))
+    assert first != other_seed
 
 
 def test_sweep_rms_strictly_decreases_for_smooth_target():
@@ -189,6 +255,16 @@ def test_sweep_rms_strictly_decreases_for_smooth_target():
     assert [m for m, _ in entries] == [4, 5, 6, 7, 8]
     rms = [r for _, r in entries]
     assert all(b < a for a, b in zip(rms, rms[1:]))
+
+
+def test_gaussian_sweep_falls_3x_per_qubit_with_derived_ghosts():
+    """With the support-derived ghost count the Gaussian error keeps falling
+    exponentially in the qubit count up to m = 16, for orders 0 to 2."""
+    ms = range(8, 17)
+    for order in (0, 1, 2):
+        rms = [r for _, r in run_convergence_sweep(
+            ExperimentConfig(derivative_order=order), m_values=ms)]
+        assert (rms[0] / rms[-1]) ** (1.0 / (len(ms) - 1)) >= 3.0, (order, rms)
 
 
 def test_sweep_rejects_bad_m_sequences():
@@ -209,10 +285,39 @@ def test_curve_csv_round_trip_is_exact(tmp_path):
     rows = run_experiment(ExperimentConfig(qubits=4, eval_points=5))
     path = tmp_path / "curve.csv"
     write_rows_path(str(path), rows)
-    assert read_rows(str(path)) == rows
+    assert _columns(read_rows(str(path))) == _columns(rows)
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.decode().splitlines()[0] == ",".join(CSV_HEADER)
+
+
+def _csv_module_writer(stream, curve) -> None:
+    """Reference curve writer: csv.writer, one format(v, ".17g") per value."""
+    w = csv.writer(stream, lineterminator="\n")
+    w.writerow(CSV_HEADER)
+    for row in zip(*_columns(curve)):
+        w.writerow([format(v, ".17g") for v in row])
+
+
+def _assert_same_bytes_as_the_csv_module(curve) -> None:
+    ours, theirs = io.StringIO(), io.StringIO()
+    write_rows(ours, curve)
+    _csv_module_writer(theirs, curve)
+    assert ours.getvalue() == theirs.getvalue()
+
+
+def test_write_rows_matches_the_csv_module_on_special_values():
+    special = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308, 1.7e308, -1.7e308,
+               math.nan, math.inf, -math.inf, 0.1, -1.0 / 3.0, 1e16, 123456789.0]
+    _assert_same_bytes_as_the_csv_module(Curve(special, special[::-1], special[3:] + special[:3]))
+    _assert_same_bytes_as_the_csv_module(Curve([], [], []))
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(st.floats(), st.floats(), st.floats()), max_size=40))
+def test_write_rows_matches_the_csv_module(rows):
+    x, f_exact, f_approx = (list(col) for col in zip(*rows)) if rows else ([], [], [])
+    _assert_same_bytes_as_the_csv_module(Curve(x, f_exact, f_approx))
 
 
 def test_read_rows_rejects_foreign_header(tmp_path):
@@ -254,10 +359,29 @@ def test_decompose_error_telescopes_to_the_configured_run():
     assert np.any(d.shot_noise != 0.0)
     assert np.all(d.quantization == 0.0)
     rows = run_experiment(cfg)
-    final = np.array([r.f_approx for r in rows])
+    final = rows.f_approx
     truth = target_function(d.x, cfg.derivative_order)
-    assert truth.tolist() == [r.f_exact for r in rows]
+    assert truth.tolist() == rows.f_exact.tolist()
     np.testing.assert_allclose(truth + d.total, final, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("estimator, norm_mode", [
+    ("sampled", "integral"), ("phase", "exact"), ("phase", "integral"), ("exact", "integral"),
+])
+def test_decompose_error_equals_separate_runs_bit_for_bit(estimator, norm_mode):
+    """One pass of sums gives the components that separate runs give."""
+    cfg = ExperimentConfig(kernel="wendland", derivative_order=1, qubits=6, eval_points=17,
+                           estimator=estimator, norm_mode=norm_mode, shots=300, seed=5,
+                           pe_qubits=5)
+    d = decompose_error(cfg)
+    truth = run_experiment(cfg).f_exact
+    base = run_experiment(replace(cfg, estimator="exact", norm_mode="exact")).f_approx
+    norm_vals = run_experiment(replace(cfg, estimator="exact")).f_approx
+    final = run_experiment(cfg).f_approx
+    assert d.discretisation.tolist() == (base - truth).tolist()
+    assert d.norm_approximation.tolist() == (norm_vals - base).tolist()
+    stage = d.shot_noise if estimator == "sampled" else d.quantization
+    assert stage.tolist() == (final - norm_vals).tolist()
 
 
 def test_decompose_error_routes_phase_quantization_separately():

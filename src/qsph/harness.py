@@ -17,15 +17,18 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from .discretization import Domain, sample_points, uniform_discretise
-from .kernels import KernelFamily, KernelSpec, scaling_constant
+from .kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, scaling_constant
 from .sph_encoding import (
+    BOUNDARY_MODES,
     FunctionSamples,
-    build_a,
+    coefficient_norm,
     integral_norm_estimate,
     register_length,
     sph_sums,
@@ -33,11 +36,9 @@ from .sph_encoding import (
 
 CSV_HEADER = ("x", "f_exact", "f_approx", "abs_error")
 SWEEP_HEADER = ("m", "kernel", "order", "rms")
-DEFAULT_SWEEP_M = (4, 5, 6, 7, 8)
 
 NORM_MODES = ("exact", "integral")
 ESTIMATORS = ("exact", "sampled", "phase")
-BOUNDARY_MODES = ("analytic", "zero")
 
 
 class ConfigError(ValueError):
@@ -68,20 +69,51 @@ def target_function(x, order: int = 0):
     return float(out) if np.isscalar(x) else out
 
 
+# inclusive range of each integer field of ExperimentConfig
+_INTEGER_RANGES = {
+    "derivative_order": (DERIVATIVE_ORDERS[0], DERIVATIVE_ORDERS[-1]),
+    "qubits": (2, 16),
+    "eval_points": (2, math.inf),
+    "boundary_particles": (1, math.inf),
+    "shots": (1, 2 ** 63 - 1),  # numpy's binomial takes an int64 count
+    "seed": (0, 2 ** 128 - 1),  # the Philox key is 128 bits
+    "pe_qubits": (1, 1023),  # the grid 2^pe_qubits must be a finite double
+}
+
+
+def _integer(name: str, value, lo: int, hi: int | float) -> int:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name}: expected an integer, got {value!r}")
+    if not lo <= value <= hi:
+        raise ConfigError(f"{name}: must be in [{lo}, {hi}], got {value}")
+    return int(value)
+
+
+def _finite_real(name: str, value, above: float = -math.inf) -> float:
+    try:
+        if not isinstance(value, bool) and above < value < math.inf:
+            return float(value)
+    except (TypeError, OverflowError):  # not a real number, or an int beyond the doubles
+        pass
+    raise ConfigError(f"{name}: expected a finite number above {above}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: kernel, derivative order, register size, estimator.
+    """One experiment; the one place that decides what a valid run is.
 
-    smoothing_length None means the default rule h = 4 / 2^qubits; a float
-    pins h (and a sweep then keeps it fixed across m). boundary_particles
-    None means the ghost count per end is derived from the kernel support,
-    ceil(support_radius / dx) + 1: 17 for the Gaussian and 5 for Wendland at
-    h = 2 dx, enough that no query point's support leaves the particles; an
-    int pins it (and a sweep keeps it). The estimator fields
-    shots / seed / pe_qubits only matter for the matching estimator choice.
-    qubits is capped at 16. A run no longer builds the registers (its cost
-    per query point is set by the kernel support, not by 2^m), but the
-    dense register states the tests check it against are O(2^m) each.
+    A bad value raises ConfigError naming the field. kernel: a KernelFamily
+    or its name. derivative_order: int in DERIVATIVE_ORDERS. qubits: int in
+    [2, 16]; a run never builds the 2^m registers, but the dense states the
+    tests check it against are O(2^m). domain: a Domain or an (a, b) pair of
+    finite reals, a < b. eval_points: int >= 2. norm_mode, estimator,
+    boundary_values: one of NORM_MODES, ESTIMATORS, BOUNDARY_MODES. shots:
+    int in [1, 2^63 - 1]; seed: in [0, 2^128 - 1]; pe_qubits: in [1, 1023];
+    only their estimator reads them. smoothing_length: finite float > 0, or
+    None for the rule h = 4 / 2^qubits. boundary_particles: int >= 1, or None
+    for ceil(support_radius / dx) + 1 per end (17 Gaussian, 5 Wendland at
+    h = 2 dx), so no query point's support leaves the particles; a sweep
+    keeps either one if set. support_radius / dx must be finite.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -97,43 +129,36 @@ class ExperimentConfig:
     seed: int = 0
     pe_qubits: int = 8
     boundary_values: str = "analytic"
-    output_path: str | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.kernel, str):
-            try:
-                object.__setattr__(self, "kernel", KernelFamily(self.kernel))
-            except ValueError:
-                raise ConfigError(f"kernel: unknown family {self.kernel!r}") from None
-        if not isinstance(self.kernel, KernelFamily):
-            raise ConfigError(f"kernel: expected a KernelFamily, got {self.kernel!r}")
-        if self.derivative_order not in (0, 1, 2):
-            raise ConfigError(f"derivative_order: must be 0, 1 or 2, got {self.derivative_order}")
-        if not 2 <= self.qubits <= 16:
-            raise ConfigError(f"qubits: must lie in [2, 16], got {self.qubits}")
+        setfield = partial(object.__setattr__, self)
+        try:
+            setfield("kernel", KernelFamily(self.kernel))
+        except ValueError:
+            raise ConfigError(f"kernel: unknown family {self.kernel!r}") from None
+        for name, (lo, hi) in _INTEGER_RANGES.items():
+            value = getattr(self, name)
+            if value is not None or name != "boundary_particles":
+                setfield(name, _integer(name, value, lo, hi))
         if not isinstance(self.domain, Domain):
-            raise ConfigError(f"domain: expected a Domain, got {self.domain!r}")
-        if self.eval_points < 2:
-            raise ConfigError(f"eval_points: need at least 2, got {self.eval_points}")
-        if self.boundary_particles is not None and self.boundary_particles < 1:
-            raise ConfigError(
-                f"boundary_particles: must be positive, got {self.boundary_particles}")
-        if self.smoothing_length is not None and not self.smoothing_length > 0.0:
-            raise ConfigError(
-                f"smoothing_length: must be positive, got {self.smoothing_length}")
-        if self.norm_mode not in NORM_MODES:
-            raise ConfigError(f"norm_mode: must be one of {NORM_MODES}, got {self.norm_mode!r}")
-        if self.estimator not in ESTIMATORS:
-            raise ConfigError(f"estimator: must be one of {ESTIMATORS}, got {self.estimator!r}")
-        if self.shots < 1:
-            raise ConfigError(f"shots: must be positive, got {self.shots}")
-        if self.seed < 0:
-            raise ConfigError(f"seed: must be nonnegative, got {self.seed}")
-        if self.pe_qubits < 1:
-            raise ConfigError(f"pe_qubits: must be positive, got {self.pe_qubits}")
-        if self.boundary_values not in BOUNDARY_MODES:
-            raise ConfigError(
-                f"boundary_values: must be one of {BOUNDARY_MODES}, got {self.boundary_values!r}")
+            try:
+                a, b = self.domain
+            except (TypeError, ValueError):
+                raise ConfigError(
+                    f"domain: expected a Domain or two endpoints, got {self.domain!r}") from None
+            setfield("domain", Domain(_finite_real("domain", a), _finite_real("domain", b)))
+        if self.smoothing_length is not None:
+            setfield("smoothing_length",
+                     _finite_real("smoothing_length", self.smoothing_length, 0.0))
+        for name, allowed in (("norm_mode", NORM_MODES), ("estimator", ESTIMATORS),
+                              ("boundary_values", BOUNDARY_MODES)):
+            if getattr(self, name) not in allowed:
+                raise ConfigError(
+                    f"{name}: must be one of {allowed}, got {getattr(self, name)!r}")
+        dx = self.domain.length / self.num_particles
+        if not (0.0 < dx < math.inf and math.isfinite(self.kernel_spec.support_radius / dx)):
+            raise ConfigError(f"smoothing_length: h = {self.h!r} must span a finite number of "
+                              f"particle spacings, got dx = {dx!r} on the domain")
 
     @property
     def num_particles(self) -> int:
@@ -230,7 +255,7 @@ def _direct_sums(config: ExperimentConfig):
                                             boundary=config.boundary_values)
     spec = config.kernel_spec
     xs = sample_points(config.domain, config.eval_points)
-    _, exact_norm = build_a(disc, samples)
+    exact_norm = coefficient_norm(disc, samples)
     norm_a = exact_norm
     if config.norm_mode == "integral":
         norm_a = integral_norm_estimate(config.domain, target_function,
@@ -304,19 +329,29 @@ def rms_error(curve: Curve) -> float:
     return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
 
 
+def sweep_m_values(m_min: int = 4, m_max: int = 8) -> range:
+    """The register sizes m_min..m_max of a sweep; each must be valid qubits."""
+    lo, hi = _INTEGER_RANGES["qubits"]
+    m_min, m_max = _integer("m_min", m_min, lo, hi), _integer("m_max", m_max, lo, hi)
+    if m_min > m_max:
+        raise ConfigError(f"m_min: {m_min} exceeds m_max {m_max}")
+    return range(m_min, m_max + 1)
+
+
 def run_convergence_sweep(base: ExperimentConfig,
-                          m_values=DEFAULT_SWEEP_M) -> list[tuple[int, float]]:
+                          m_values=sweep_m_values()) -> list[tuple[int, float]]:
     """RMS error per register size m, re-deriving h for each m.
 
     An explicit smoothing_length in the base config is kept fixed across
-    the sweep instead.
+    the sweep instead. Every m's config is checked before any m runs.
     """
     ms = list(m_values)
     if not ms:
         raise ValueError("m_values must be nonempty")
     if ms != sorted(set(ms)):
         raise ValueError("m_values must be strictly ascending")
-    return [(m, rms_error(run_experiment(replace(base, qubits=m)))) for m in ms]
+    configs = [replace(base, qubits=m) for m in ms]
+    return [(c.qubits, rms_error(run_experiment(c))) for c in configs]
 
 
 def _fmt(v: float) -> str:

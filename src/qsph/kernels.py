@@ -31,6 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 _SQRT_PI = math.sqrt(math.pi)
+DERIVATIVE_ORDERS = (0, 1, 2)
 
 
 class KernelFamily(enum.Enum):
@@ -47,7 +48,7 @@ class KernelSpec:
     h: float
 
     def __post_init__(self):
-        if self.derivative_order not in (0, 1, 2):
+        if self.derivative_order not in DERIVATIVE_ORDERS:
             raise ValueError(f"derivative_order must be 0, 1 or 2, got {self.derivative_order}")
         if not self.h > 0.0:
             raise ValueError(f"smoothing length must be positive, got {self.h}")

@@ -32,6 +32,7 @@ the registers; ``encode`` and ``reconstruct`` remain the dense reference.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -43,6 +44,7 @@ from .quantum_state import StateVector, inner_product, normalize
 
 # most kernel values sph_sums gathers at once: 512 KB of doubles per array
 BLOCK_VALUES = 1 << 16
+BOUNDARY_MODES = ("analytic", "zero")
 
 
 @dataclass(frozen=True)
@@ -68,8 +70,8 @@ class FunctionSamples:
         (f extends beyond the domain); boundary="zero" forces ghost values
         to 0.
         """
-        if boundary not in ("analytic", "zero"):
-            raise ValueError(f"boundary must be 'analytic' or 'zero', got {boundary!r}")
+        if boundary not in BOUNDARY_MODES:
+            raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
         values = np.asarray(f(disc.positions), dtype=float).copy()
         if boundary == "zero" and disc.n_boundary_each_end > 0:
             nb = disc.n_boundary_each_end
@@ -132,6 +134,18 @@ def build_a(disc: ParticleDiscretisation, samples: FunctionSamples,
             raise ValueError("approximate norm must be positive")
         return state, float(approx_norm)
     return state, exact_norm
+
+
+def coefficient_norm(disc: ParticleDiscretisation, samples: FunctionSamples) -> float:
+    """Exact ||a|| for a = [f_k dx_k], as ``build_a`` gives it, without |a>: the
+    real norm of the coefficients scaled by an exact power of two near the
+    largest, so tiny ones neither underflow nor lose bits when squared."""
+    coeff = samples.values * disc.widths
+    scale = float(np.max(np.abs(coeff)))
+    if scale == 0.0:
+        raise ValueError("all-zero samples cannot be encoded as a state")
+    exponent = math.frexp(scale)[1]
+    return math.ldexp(float(np.linalg.norm(np.ldexp(coeff, -exponent))), exponent)
 
 
 def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray],

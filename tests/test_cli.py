@@ -97,6 +97,9 @@ def test_flags_override_config_file(tmp_path, capsys):
     ('{"qubitz": 4}', "unknown keys"),
     ("{not json", "config file"),
     ('[1, 2]', "JSON object"),
+    ('{"out": 5}', "out"),
+    ('{"qubits": 8.0}', "qubits"),
+    ('{"domain": "ab"}', "domain"),
 ])
 def test_bad_config_files_exit_2(tmp_path, capsys, content, fragment):
     cfg = tmp_path / "exp.json"
@@ -116,10 +119,37 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ["sweep", "--m-min", "6", "--m-max", "4"],
     ["sweep", "--m-min", "1"],
     ["sweep", "--m-max", "17"],
+    ["run", "--h", "inf"],
+    ["run", "--h", "1e308"],
+    ["run", "--domain", "0", "1e-320"],
+    ["run", "--shots", "100000000000000000000", "--estimator", "sampled"],
+    ["run", "--seed", str(2 ** 128)],
+    ["run", "--pe-qubits", "1100", "--estimator", "phase"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_sweep_has_no_qubits_flag(capsys):
+    # the sweep sets the register size from --m-min and --m-max only
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sweep", "--qubits", "5"])
+    assert exc.value.code == 2
+    assert "--qubits" in capsys.readouterr().err
+
+
+def test_tiny_domain_sampled_run_is_finite(capsys):
+    # squared, the coefficients f_k dx_k ~ 1e-203 underflow; the norm must not
+    assert cli.main(["run", "--qubits", "8", "--domain", "0", "1e-200",
+                     "--boundary-particles", "4", "--estimator", "sampled"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 300
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_unwritable_output_exits_2(tmp_path, capsys):

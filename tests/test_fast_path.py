@@ -26,6 +26,7 @@ from qsph.sph_encoding import (
     FunctionSamples,
     build_a,
     classical_sph_sum,
+    coefficient_norm,
     encode,
     integral_norm_estimate,
     reconstruct,
@@ -80,7 +81,7 @@ def test_closed_forms_match_the_dense_registers(disc, family, order, h, boundary
     xs = np.asarray(xs)
 
     # the same stages as run_experiment
-    _, exact_norm = build_a(disc, samples)
+    exact_norm = coefficient_norm(disc, samples)
     norm_a = exact_norm if approx_norm is None else approx_norm
     sums = sph_sums(disc, samples, spec, xs)
     rho = np.clip(sums / (c * n * exact_norm), -1.0, 1.0)
@@ -112,6 +113,37 @@ def test_closed_forms_match_the_dense_registers(disc, family, order, h, boundary
             assert k[j] * math.pi / grid == phase.theta_estimate
 
 
+def test_coefficient_norm_matches_build_a_without_the_register():
+    """Within 2 ulp of the correctly rounded norm, and within 16 ulp of the
+    norm ``build_a`` takes of the padded complex register."""
+    for family in KernelFamily:
+        for m in range(2, 17):
+            for ghosts in (None, 4):
+                for boundary in ("analytic", "zero"):
+                    cfg = ExperimentConfig(kernel=family, qubits=m, boundary_particles=ghosts,
+                                           boundary_values=boundary)
+                    disc = uniform_discretise(cfg.domain, cfg.num_particles,
+                                              cfg.ghosts_per_end)
+                    samples = FunctionSamples.from_function(disc, target_function,
+                                                            boundary=boundary)
+                    got = coefficient_norm(disc, samples)
+                    coeff = (samples.values * disc.widths).tolist()
+                    want = math.sqrt(math.fsum(v * v for v in coeff))
+                    assert abs(got - want) <= 2 * math.ulp(want), (family, m, ghosts, boundary)
+                    _, dense = build_a(disc, samples)
+                    assert abs(got - dense) <= 16 * math.ulp(dense), (family, m, ghosts, boundary)
+
+
+def test_coefficient_norm_scales_tiny_coefficients():
+    """Squaring 1e-200 underflows; the power-of-two scaling keeps every bit."""
+    disc = uniform_discretise(Domain(0.0, 1e-200), 4)
+    samples = FunctionSamples(np.ones(4))
+    assert coefficient_norm(disc, samples) == 0.5e-200
+    assert coefficient_norm(disc, samples) == build_a(disc, samples)[1]
+    with pytest.raises(ValueError, match="all-zero"):
+        coefficient_norm(disc, FunctionSamples(np.zeros(4)))
+
+
 @pytest.mark.parametrize("family", list(KernelFamily))
 def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
     """One window width for every point: no point's sum depends on its batch."""
@@ -128,12 +160,18 @@ def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
 
 
 def _dense_run(cfg: ExperimentConfig) -> list[float]:
-    """The per-point register pipeline: encode, estimate, reconstruct."""
+    """The per-point register pipeline: encode, estimate, reconstruct.
+
+    It multiplies back the ||a|| the run uses: the integral estimate, or the
+    exact norm of ``coefficient_norm``, which
+    ``test_coefficient_norm_matches_build_a_without_the_register`` pins to
+    the one ``build_a`` computes from |a>.
+    """
     disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.ghosts_per_end)
     samples = FunctionSamples.from_function(disc, target_function,
                                             boundary=cfg.boundary_values)
     spec = KernelSpec(cfg.kernel, cfg.derivative_order, cfg.h)
-    approx_norm = None
+    approx_norm = coefficient_norm(disc, samples)
     if cfg.norm_mode == "integral":
         approx_norm = integral_norm_estimate(cfg.domain, target_function, cfg.num_particles)
     g = np.random.Generator(np.random.Philox(key=cfg.seed))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsph import harness
 from qsph.discretization import Domain, sample_points, uniform_discretise
 from qsph.harness import (
     CSV_HEADER,
@@ -96,6 +97,12 @@ def test_config_accepts_kernel_name_string():
     assert cfg.kernel is KernelFamily.WENDLAND
 
 
+def test_config_accepts_a_domain_pair():
+    cfg = ExperimentConfig(domain=[0, 2], qubits=np.int64(4))
+    assert cfg.domain == Domain(0.0, 2.0)
+    assert type(cfg.qubits) is int
+
+
 @pytest.mark.parametrize("kwargs, field", [
     ({"kernel": "splurge"}, "kernel"),
     ({"derivative_order": 3}, "derivative_order"),
@@ -110,6 +117,19 @@ def test_config_accepts_kernel_name_string():
     ({"seed": -1}, "seed"),
     ({"pe_qubits": 0}, "pe_qubits"),
     ({"boundary_values": "mirror"}, "boundary_values"),
+    ({"qubits": 8.0}, "qubits"),
+    ({"qubits": "8"}, "qubits"),
+    ({"shots": True}, "shots"),
+    ({"shots": 2 ** 63}, "shots"),
+    ({"seed": 2 ** 128}, "seed"),
+    ({"pe_qubits": 1024}, "pe_qubits"),
+    ({"boundary_particles": 4.0}, "boundary_particles"),
+    ({"smoothing_length": float("inf")}, "smoothing_length"),
+    ({"smoothing_length": "0.5"}, "smoothing_length"),
+    ({"smoothing_length": 1e308}, "smoothing_length"),
+    ({"domain": (0.0, 1e-320)}, "smoothing_length"),
+    ({"domain": (0.0,)}, "domain"),
+    ({"domain": (0.0, "1")}, "domain"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
@@ -272,6 +292,14 @@ def test_sweep_rejects_bad_m_sequences():
     for bad in ([], [5, 4], [4, 4]):
         with pytest.raises(ValueError):
             run_convergence_sweep(base, m_values=bad)
+
+
+def test_sweep_checks_every_m_before_running_any(monkeypatch):
+    runs = []
+    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    with pytest.raises(ConfigError, match="qubits"):
+        run_convergence_sweep(ExperimentConfig(eval_points=5), m_values=[4, 17])
+    assert runs == []
 
 
 def test_sweep_keeps_an_explicit_smoothing_length_fixed():

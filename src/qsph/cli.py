@@ -5,7 +5,8 @@ type and valid range, and ``sweep_m_values`` the sweep's; the choices and
 the defaults in the help come from there. Every flag of a subcommand can
 also come from a JSON config file (--config FILE) whose keys are its long
 flag names with dashes as underscores; explicit flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 non-finite numerics.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure (non-finite
+values, or a target that is zero at every particle).
 """
 from __future__ import annotations
 
@@ -32,6 +33,7 @@ from .harness import (
     write_sweep_path,
 )
 from .kernels import DERIVATIVE_ORDERS, KernelFamily
+from .sph_encoding import ZeroSamplesError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +54,7 @@ def _common_flags(p: argparse.ArgumentParser, d: ExperimentConfig) -> list[argpa
         p.add_argument("--boundary-particles", type=int,
                        help="ghost particles per end (default derived from the kernel support)"),
         p.add_argument("--h", dest="smoothing_length", type=float, metavar="H",
-                       help="explicit smoothing length (default derived from m)"),
+                       help="explicit smoothing length (default 2 dx, dx = (B - A) / 2^m)"),
         p.add_argument("--norm", dest="norm_mode", choices=NORM_MODES,
                        help=f"norm of the coefficient vector (default {d.norm_mode})"),
         p.add_argument("--estimator", choices=ESTIMATORS,
@@ -155,6 +157,9 @@ def main(argv=None) -> int:
     except (ConfigError, DiscretisationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except ZeroSamplesError as exc:  # e.g. the target underflows on the whole domain
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

@@ -60,21 +60,26 @@ class ParticleDiscretisation:
 
         if edges.ndim != 1 or edges.size < 2:
             raise DiscretisationError("need at least two subinterval edges")
-        if np.any(np.diff(edges) <= 0.0):
+        # differences, as np.diff takes them: a NaN difference is not <= 0
+        if (edges[1:] - edges[:-1] <= 0.0).any():
             raise DiscretisationError("edges must be strictly increasing")
         if nb < 0:
             raise DiscretisationError("n_boundary_each_end must be nonnegative")
         n_interior = edges.size - 1
         if positions.shape != widths.shape or positions.size != n_interior + 2 * nb:
             raise DiscretisationError("positions/widths must cover interior plus boundary particles")
-        if np.any(np.diff(positions) <= 0.0):
+        if (positions[1:] - positions[:-1] <= 0.0).any():
             raise DiscretisationError("positions must be strictly increasing")
-        if np.any(widths <= 0.0):
+        if (widths <= 0.0).any():
             raise DiscretisationError("widths must be positive")
 
         interior = positions[nb:positions.size - nb]
         mid = 0.5 * (edges[:-1] + edges[1:])
-        if not np.allclose(interior, mid, rtol=0.0, atol=1e-12 * max(1.0, abs(edges[-1]))):
+        atol = 1e-12 * max(1.0, abs(edges[-1]))
+        # np.isclose(interior, mid, rtol=0, atol): equal infinities match, NaN
+        # matches nothing, and an infinite centre only its equal (atol may be inf)
+        centred = (np.abs(interior - mid) <= atol) & np.isfinite(mid) | (interior == mid)
+        if not centred.all():
             raise DiscretisationError("interior particles must sit at subinterval centres")
 
         for arr in (edges, positions, widths):
@@ -131,12 +136,11 @@ def from_edges(edges, n_boundary_each_end: int = 0) -> ParticleDiscretisation:
     """Discretisation from explicit (possibly non-uniform) subinterval edges.
 
     Ghost particles continue the outermost subinterval width beyond each end.
+    ``ParticleDiscretisation`` checks that the edges increase.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
         raise DiscretisationError("need at least two subinterval edges")
-    if np.any(np.diff(edges) <= 0.0):
-        raise DiscretisationError("edges must be strictly increasing")
     nb = n_boundary_each_end
     widths_int = np.diff(edges)
     interior = 0.5 * (edges[:-1] + edges[1:])

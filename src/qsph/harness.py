@@ -10,12 +10,14 @@ convergence sweeps over the register size m. A run's result is columnar: one
 
 Derivatives come from swapping in the derivative kernel; the particle
 samples are always plain function values. The smoothing length follows
-h = 4 / 2^m unless set explicitly, and the ghost count per end is
+h = 2 dx, with dx = (b - a) / 2^m, unless set explicitly (4 / 2^m on the
+default domain [-1, 1]), and the ghost count per end is
 ceil(support_radius / dx) + 1 unless set explicitly.
 """
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -110,10 +112,12 @@ class ExperimentConfig:
     boundary_values: one of NORM_MODES, ESTIMATORS, BOUNDARY_MODES. shots:
     int in [1, 2^63 - 1]; seed: in [0, 2^128 - 1]; pe_qubits: in [1, 1023];
     only their estimator reads them. smoothing_length: finite float > 0, or
-    None for the rule h = 4 / 2^qubits. boundary_particles: int >= 1, or None
-    for ceil(support_radius / dx) + 1 per end (17 Gaussian, 5 Wendland at
-    h = 2 dx), so no query point's support leaves the particles; a sweep
-    keeps either one if set. support_radius / dx must be finite.
+    None for the rule h = 2 dx, with dx = domain length / 2^qubits (that is
+    4 / 2^qubits on [-1, 1]). boundary_particles: int >= 1, or None for
+    ceil(support_radius / dx) + 1 per end (17 Gaussian, 5 Wendland at the
+    default h, on any domain), so no query point's support leaves the
+    particles; a sweep keeps either one if set. support_radius / dx must be
+    finite.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -155,7 +159,7 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(
                     f"{name}: must be one of {allowed}, got {getattr(self, name)!r}")
-        dx = self.domain.length / self.num_particles
+        dx = self.dx
         if not (0.0 < dx < math.inf and math.isfinite(self.kernel_spec.support_radius / dx)):
             raise ConfigError(f"smoothing_length: h = {self.h!r} must span a finite number of "
                               f"particle spacings, got dx = {dx!r} on the domain")
@@ -165,10 +169,15 @@ class ExperimentConfig:
         return 2 ** self.qubits
 
     @property
+    def dx(self) -> float:
+        """The particle spacing, domain length / 2^qubits."""
+        return self.domain.length / self.num_particles
+
+    @property
     def h(self) -> float:
         if self.smoothing_length is not None:
             return self.smoothing_length
-        return 4.0 / 2 ** self.qubits
+        return 2.0 * self.dx
 
     @property
     def kernel_spec(self) -> KernelSpec:
@@ -178,8 +187,7 @@ class ExperimentConfig:
     def ghosts_per_end(self) -> int:
         if self.boundary_particles is not None:
             return self.boundary_particles
-        dx = self.domain.length / self.num_particles
-        return math.ceil(self.kernel_spec.support_radius / dx) + 1
+        return math.ceil(self.kernel_spec.support_radius / self.dx) + 1
 
 
 def _freeze_columns(obj, names) -> None:
@@ -319,14 +327,14 @@ def all_finite(curve: Curve) -> bool:
 def rms_error(curve: Curve) -> float:
     """sqrt(mean of squared errors) over the query points.
 
-    Squares with Python ``**``, one value at a time: libm pow(v, 2) and
+    Squares with Python ``pow``, one value at a time: libm pow(v, 2) and
     v * v differ in the last bit for some doubles, and the sweep CSV keeps
     the values pow gives.
     """
     if not len(curve):
         raise ValueError("rms_error needs at least one point")
     errors = curve.abs_error.tolist()
-    return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
+    return math.sqrt(math.fsum(map(pow, errors, itertools.repeat(2))) / len(errors))
 
 
 def sweep_m_values(m_min: int = 4, m_max: int = 8) -> range:

@@ -47,6 +47,14 @@ BLOCK_VALUES = 1 << 16
 BOUNDARY_MODES = ("analytic", "zero")
 
 
+class ZeroSamplesError(ValueError):
+    """Every coefficient f_k dx_k is zero, so ||a|| = 0 and |a> does not exist."""
+
+    def __init__(self, count: int):
+        super().__init__(f"all-zero samples cannot be encoded as a state: f_k dx_k is 0 "
+                         f"at all {count} particles")
+
+
 @dataclass(frozen=True)
 class FunctionSamples:
     """Function values at the particle positions of a discretisation."""
@@ -125,7 +133,7 @@ def build_a(disc: ParticleDiscretisation, samples: FunctionSamples,
         raise ValueError(f"got {values.size} samples for {disc.total_count} particles")
     raw = values * disc.widths
     if not np.any(raw):
-        raise ValueError("all-zero samples cannot be encoded as a state")
+        raise ZeroSamplesError(raw.size)
     padded = np.zeros(register_length(disc.total_count), dtype=complex)
     padded[:raw.size] = raw
     state, exact_norm = normalize(padded)
@@ -143,7 +151,7 @@ def coefficient_norm(disc: ParticleDiscretisation, samples: FunctionSamples) -> 
     coeff = samples.values * disc.widths
     scale = float(np.max(np.abs(coeff)))
     if scale == 0.0:
-        raise ValueError("all-zero samples cannot be encoded as a state")
+        raise ZeroSamplesError(coeff.size)
     exponent = math.frexp(scale)[1]
     return math.ldexp(float(np.linalg.norm(np.ldexp(coeff, -exponent))), exponent)
 
@@ -231,10 +239,33 @@ def support_window(disc: ParticleDiscretisation, spec: KernelSpec) -> int:
 
     Depends only on the layout and the kernel, so every query point sums
     over the same number of particles whatever batch it comes in.
+
+    With top = positions + 2 support_radius, the width W is the largest w
+    for which some run of w particles fits, (pos[w-1:] <= top[:n-w+1]).any().
+    That predicate is monotone in w, so W is found by galloping up from the
+    first particle's count, a lower bound, then bisecting: O(n log W) on any
+    sorted layout, and the same integer as max_i(#{pos <= top[i]} - i).
     """
     pos = disc.positions
-    reach = np.searchsorted(pos, pos + 2.0 * spec.support_radius, side="right")
-    return int(np.max(reach - np.arange(pos.size)))
+    n = pos.size
+    top = pos + 2.0 * spec.support_radius
+
+    def fits(w: int) -> bool:
+        return w <= n and bool((pos[w - 1:] <= top[:n - w + 1]).any())
+
+    lo = int(np.searchsorted(pos, top[0], side="right"))
+    step = 1
+    while fits(lo + step):
+        lo += step
+        step *= 2
+    hi = lo + step
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if fits(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: KernelSpec,

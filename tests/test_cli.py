@@ -148,6 +148,25 @@ def test_tiny_domain_sampled_run_is_finite(capsys):
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("command", [["run", "--qubits", "8"], ["sweep", "--m-max", "5"]])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_all_zero_target_exits_3(capsys, command):
+    # 1 / (1 + 25 x^2) underflows to 0 at every particle of [1e200, 2e200]
+    assert cli.main(command + ["--points", "3", "--domain", "1e200", "2e200"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: all-zero samples" in err
+
+
+@pytest.mark.parametrize("b", ["1e-5", "1e-300"])
+def test_short_domain_runs_with_the_default_ghosts(capsys, b):
+    # h = 2 dx on any domain: 17 ghosts per end, not millions
+    assert cli.main(["run", "--qubits", "8", "--points", "3", "--domain", "0", b]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from qsph.discretization import (
     DiscretisationError,
     Domain,
+    ParticleDiscretisation,
     from_edges,
     sample_points,
     uniform_discretise,
@@ -116,3 +117,77 @@ def test_counts_and_ordering(n, nb):
     assert np.all(disc.widths > 0)
     # interior widths add up to the domain length
     assert np.isclose(disc.interior_widths.sum(), 5.0, rtol=0, atol=1e-12)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+def _layout(edges, positions, widths, nb=0):
+    return ParticleDiscretisation(np.array(edges, dtype=float),
+                                  np.array(positions, dtype=float),
+                                  np.array(widths, dtype=float), nb)
+
+
+@pytest.mark.parametrize("edges", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
+def test_layout_rejects_non_increasing_edges(edges):
+    with pytest.raises(DiscretisationError, match="edges must be strictly increasing"):
+        _layout(edges, [0.5, 1.5, 2.5], [1.0, 1.0, 1.0])
+
+
+def test_layout_rejects_non_increasing_positions():
+    for ghosts in ([0.5, -0.5], [-0.5, -0.5], [-0.4, -0.5]):
+        with pytest.raises(DiscretisationError, match="positions must be strictly increasing"):
+            _layout([0.0, 1.0, 2.0], ghosts + [0.5, 1.5], [1.0] * 4, nb=1)
+    # dx = 1 ulp of 1.0: the edges still increase, the centres round together
+    with pytest.raises(DiscretisationError, match="positions must be strictly increasing"):
+        uniform_discretise(Domain(1.0, 1.0 + 2.0 ** -50), 4)
+    # dx below 1 ulp of 1.0: the edges collapse first, so their check fires
+    with pytest.raises(DiscretisationError, match="edges must be strictly increasing"):
+        uniform_discretise(Domain(1.0, 1.0 + 1e-14), 2 ** 16)
+
+
+@pytest.mark.parametrize("widths", [[0.0, 1.0], [1.0, -0.0], [1.0, -2.0]])
+def test_layout_rejects_a_zero_or_negative_width(widths):
+    with pytest.raises(DiscretisationError, match="widths must be positive"):
+        _layout([0.0, 1.0, 2.0], [0.5, 1.5], widths)
+
+
+def test_layout_interior_particles_sit_within_atol_of_the_centres():
+    for b in (2.0, 1e6):  # atol = 1e-12 max(1, |b|)
+        atol = 1e-12 * max(1.0, b)
+        centres = np.array([0.25, 0.75]) * b
+        _layout([0.0, b / 2, b], centres + [0.5 * atol, -0.5 * atol], [b / 2] * 2)
+        with pytest.raises(DiscretisationError, match="subinterval centres"):
+            _layout([0.0, b / 2, b], centres + [0.0, 2.0 * atol], [b / 2] * 2)
+
+
+@pytest.mark.parametrize("edges, positions, widths, nb, rejected", [
+    ([0.0, NAN, 2.0], [0.5, 1.5], [1.0, 1.0], 0, "subinterval centres"),
+    ([0.0, 1.0, 2.0], [0.5, NAN], [1.0, 1.0], 0, "subinterval centres"),
+    ([0.0, 1.0, 2.0], [NAN, 0.5, 1.5, 2.5], [1.0] * 4, 1, None),
+    ([0.0, 1.0, 2.0], [-INF, 0.5, 1.5, 2.5], [1.0] * 4, 1, None),
+    ([0.0, 1.0, 2.0], [-0.5, 0.5, 1.5, INF], [1.0] * 4, 1, None),
+    ([0.0, 1.0, 2.0], [-1.5, -0.5, 0.5, 1.5, INF, INF], [1.0] * 6, 2, None),
+    ([0.0, 1.0, 2.0], [0.5, 1.5], [NAN, 1.0], 0, None),
+    ([0.0, 1.0, 2.0], [0.5, 1.5], [INF, 1.0], 0, None),
+    ([0.0, 1.0, 2.0], [0.5, 1.5], [-INF, 1.0], 0, "widths must be positive"),
+    # an infinite last edge makes atol infinite; an infinite centre still
+    # matches only itself
+    ([0.0, 1.0, INF], [0.5, 2.0], [1.0, 1.0], 0, "subinterval centres"),
+    ([0.0, 1.0, INF], [0.5, INF], [1.0, 1.0], 0, None),
+    ([-INF, 0.0, 1.0], [-1.0, 0.5], [1.0, 1.0], 0, "subinterval centres"),
+    ([-INF, 0.0, 1.0], [-INF, 0.5], [1.0, 1.0], 0, None),
+    ([-INF, -INF], [-INF], [1.0], 0, None),
+    ([-INF, -INF], [0.0], [1.0], 0, "subinterval centres"),
+    ([INF, INF], [INF], [1.0], 0, None),
+    ([-INF, INF], [0.0], [1.0], 0, "subinterval centres"),
+    ([-INF, INF], [NAN], [1.0], 0, "subinterval centres"),
+])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_layout_checks_on_nan_and_inf_entries(edges, positions, widths, nb, rejected):
+    """Pinned: a NaN difference is not <= 0, and the centre check is np.isclose's."""
+    if rejected is None:
+        assert _layout(edges, positions, widths, nb).total_count == len(positions)
+    else:
+        with pytest.raises(DiscretisationError, match=rejected):
+            _layout(edges, positions, widths, nb)

@@ -81,6 +81,18 @@ def test_config_default_smoothing_length_rule():
     assert cfg.num_particles == 256
     assert cfg.h == 4.0 / 256
     assert ExperimentConfig(qubits=8, smoothing_length=0.5).h == 0.5
+    # h = 2 dx: on the default domain [-1, 1] that is 4 / 2^m bit for bit
+    for m in range(2, 17):
+        assert ExperimentConfig(qubits=m).h == 4.0 / 2 ** m
+    assert ExperimentConfig(qubits=8, domain=(0.0, 3.0)).h == 2.0 * 3.0 / 256
+
+
+@pytest.mark.parametrize("bounds", [(-1.0, 1.0), (0.0, 1e-5), (0.0, 1e-300), (1e6, 1e6 + 7.0)])
+def test_default_ghost_count_does_not_depend_on_the_domain(bounds):
+    # the default h scales with the domain, so the support spans 16 dx (Gaussian)
+    # or 4 dx (Wendland) whatever its length
+    assert ExperimentConfig(qubits=8, domain=bounds).ghosts_per_end == 17
+    assert ExperimentConfig(kernel="wendland", qubits=8, domain=bounds).ghosts_per_end == 5
 
 
 def test_config_derives_ghosts_from_the_kernel_support():
@@ -127,7 +139,7 @@ def test_config_accepts_a_domain_pair():
     ({"smoothing_length": float("inf")}, "smoothing_length"),
     ({"smoothing_length": "0.5"}, "smoothing_length"),
     ({"smoothing_length": 1e308}, "smoothing_length"),
-    ({"domain": (0.0, 1e-320)}, "smoothing_length"),
+    ({"domain": (0.0, 1e-320), "smoothing_length": 0.5}, "smoothing_length"),
     ({"domain": (0.0,)}, "domain"),
     ({"domain": (0.0, "1")}, "domain"),
 ])

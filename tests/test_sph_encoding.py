@@ -3,19 +3,21 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qsph.sph_encoding
 from qsph.discretization import Domain, from_edges, uniform_discretise
 from qsph.harness import ExperimentConfig, run_experiment
-from qsph.kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
+from qsph.kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.sph_encoding import (
     EncodedPair,
     FunctionSamples,
+    ZeroSamplesError,
     build_a,
     build_w,
     classical_sph_sum,
+    coefficient_norm,
     encode,
     integral_norm_estimate,
     reconstruct,
@@ -217,6 +219,75 @@ def test_support_window_counts_particles_in_the_support():
     # a support wider than the layout takes every particle
     disc = uniform_discretise(Domain(-1.0, 1.0), 8)
     assert support_window(disc, KernelSpec(GAUSSIAN, 0, 1.0)) == 8
+
+
+def test_all_zero_samples_raise_a_named_value_error():
+    disc = uniform_discretise(Domain(0.0, 1.0), 4)
+    zeros = FunctionSamples(np.zeros(4))
+    assert issubclass(ZeroSamplesError, ValueError)
+    for norm_of in (coefficient_norm, build_a):
+        with pytest.raises(ZeroSamplesError, match="0 at all 4 particles"):
+            norm_of(disc, zeros)
+
+
+def _window_by_search(disc, spec):
+    """The definition: over all i, the most particles k >= i with
+    pos[k] <= pos[i] + 2 support_radius, one binary search per particle."""
+    pos = disc.positions
+    reach = np.searchsorted(pos, pos + 2.0 * spec.support_radius, side="right")
+    return int(np.max(reach - np.arange(pos.size)))
+
+
+# 2 support_radius in units of h
+SUPPORT_SPAN = {GAUSSIAN: 16.0, WENDLAND: 4.0}
+
+
+@settings(max_examples=150, deadline=None)
+@given(m=st.integers(2, 16), family=st.sampled_from(list(KernelFamily)),
+       order=st.sampled_from(DERIVATIVE_ORDERS), ghosts=st.sampled_from([0, 4, None]),
+       bounds=st.sampled_from([(-1.0, 1.0), (0.0, 1.0), (0.1, 0.7), (-3.3, 5.1)]),
+       h_rule=st.one_of(st.none(), st.integers(1, 80), st.floats(0.05, 40.0)))
+def test_support_window_matches_the_search_on_uniform_layouts(m, family, order, ghosts,
+                                                              bounds, h_rule):
+    domain = Domain(*bounds)
+    dx = domain.length / 2 ** m
+    if h_rule is None:
+        h = 2.0 * dx  # the default rule
+    elif isinstance(h_rule, int):
+        h = h_rule * dx / SUPPORT_SPAN[family]  # 2 support_radius = h_rule dx
+    else:
+        h = h_rule * dx
+    spec = KernelSpec(family, order, h)
+    nb = math.ceil(spec.support_radius / dx) + 1 if ghosts is None else ghosts
+    disc = uniform_discretise(domain, 2 ** m, n_boundary_each_end=nb)
+    assert support_window(disc, spec) == _window_by_search(disc, spec)
+
+
+def _clustered_edges(left, cluster, eps, right):
+    """Unit cells, then a cluster of cells of width eps, then unit cells."""
+    return np.concatenate([[0.0], np.cumsum([1.0] * left + [eps] * cluster + [1.0] * right)])
+
+
+@settings(max_examples=100, deadline=None)
+@example(left=2, cluster=1000, eps=1e-3, right=1, nb=0, family=GAUSSIAN, h=0.05)
+@given(left=st.integers(1, 5), cluster=st.integers(1, 3000), eps=st.floats(1e-6, 0.5),
+       right=st.integers(0, 5), nb=st.integers(0, 4),
+       family=st.sampled_from(list(KernelFamily)), h=st.floats(1e-4, 2.0))
+def test_support_window_matches_the_search_on_clustered_layouts(left, cluster, eps, right,
+                                                                 nb, family, h):
+    disc = from_edges(_clustered_edges(left, cluster, eps, right), n_boundary_each_end=nb)
+    spec = KernelSpec(family, 0, h)
+    assert support_window(disc, spec) == _window_by_search(disc, spec)
+
+
+def test_support_window_finds_a_cluster_far_from_the_first_particle():
+    # 2 support_radius = 0.8 < 1: the first particle's support holds only itself,
+    # while 0.8 of the 1e-3-wide cluster cells fit in one support
+    disc = from_edges(_clustered_edges(2, 1000, 1e-3, 1))
+    spec = KernelSpec(GAUSSIAN, 0, 0.05)
+    pos = disc.positions
+    assert np.searchsorted(pos, pos[0] + 2.0 * spec.support_radius, side="right") == 1
+    assert support_window(disc, spec) == _window_by_search(disc, spec) == 801
 
 
 def test_sph_sums_match_the_full_direct_sum():

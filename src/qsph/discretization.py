@@ -60,17 +60,16 @@ class ParticleDiscretisation:
 
         if edges.ndim != 1 or edges.size < 2:
             raise DiscretisationError("need at least two subinterval edges")
-        # differences, as np.diff takes them: a NaN difference is not <= 0
-        if (edges[1:] - edges[:-1] <= 0.0).any():
+        if np.any(np.diff(edges) <= 0.0):
             raise DiscretisationError("edges must be strictly increasing")
         if nb < 0:
             raise DiscretisationError("n_boundary_each_end must be nonnegative")
         n_interior = edges.size - 1
         if positions.shape != widths.shape or positions.size != n_interior + 2 * nb:
             raise DiscretisationError("positions/widths must cover interior plus boundary particles")
-        if (positions[1:] - positions[:-1] <= 0.0).any():
+        if np.any(np.diff(positions) <= 0.0):
             raise DiscretisationError("positions must be strictly increasing")
-        if (widths <= 0.0).any():
+        if np.any(widths <= 0.0):
             raise DiscretisationError("widths must be positive")
 
         interior = positions[nb:positions.size - nb]

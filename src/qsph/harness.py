@@ -17,7 +17,6 @@ ceil(support_radius / dx) + 1 unless set explicitly.
 from __future__ import annotations
 
 import csv
-import itertools
 import math
 import numbers
 from dataclasses import dataclass, field, replace
@@ -117,7 +116,8 @@ class ExperimentConfig:
     ceil(support_radius / dx) + 1 per end (17 Gaussian, 5 Wendland at the
     default h, on any domain), so no query point's support leaves the
     particles; a sweep keeps either one if set. support_radius / dx must be
-    finite.
+    finite, and dx must exceed the rounding of the particle coordinates
+    (about 8 ulps of the farthest one), so every particle is distinct.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -159,10 +159,22 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(
                     f"{name}: must be one of {allowed}, got {getattr(self, name)!r}")
-        dx = self.dx
-        if not (0.0 < dx < math.inf and math.isfinite(self.kernel_spec.support_radius / dx)):
+        dx, (a, b) = self.dx, (self.domain.a, self.domain.b)
+        if not 0.0 < dx < math.inf:
+            raise ConfigError(f"domain: [{a!r}, {b!r}] gives 2^{self.qubits} particles "
+                              f"the spacing dx = {dx!r}")
+        if not math.isfinite(self.kernel_spec.support_radius / dx):
             raise ConfigError(f"smoothing_length: h = {self.h!r} must span a finite number of "
                               f"particle spacings, got dx = {dx!r} on the domain")
+        # uniform_discretise computes each coordinate a + (j + 1/2) dx to within
+        # (2^m + 2 ghosts) ulp(dx) / 2, from the rounded dx, plus a few
+        # ulp(reach), from the length, product and sum. Neighbours are dx apart,
+        # so a dx above twice that keeps every edge and position increasing.
+        nb = self.ghosts_per_end
+        reach = max(abs(a), abs(b)) + (nb + 1) * dx
+        if not dx > (self.num_particles + 2 * nb) * math.ulp(dx) + 8 * math.ulp(reach):
+            raise ConfigError(f"domain: [{a!r}, {b!r}] is too short for 2^{self.qubits} "
+                              f"distinct particle positions, dx = {dx!r}")
 
     @property
     def num_particles(self) -> int:
@@ -327,14 +339,14 @@ def all_finite(curve: Curve) -> bool:
 def rms_error(curve: Curve) -> float:
     """sqrt(mean of squared errors) over the query points.
 
-    Squares with Python ``pow``, one value at a time: libm pow(v, 2) and
+    Squares with Python ``**``, one value at a time: libm pow(v, 2) and
     v * v differ in the last bit for some doubles, and the sweep CSV keeps
     the values pow gives.
     """
     if not len(curve):
         raise ValueError("rms_error needs at least one point")
     errors = curve.abs_error.tolist()
-    return math.sqrt(math.fsum(map(pow, errors, itertools.repeat(2))) / len(errors))
+    return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
 
 
 def sweep_m_values(m_min: int = 4, m_max: int = 8) -> range:

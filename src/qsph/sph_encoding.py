@@ -50,10 +50,6 @@ BOUNDARY_MODES = ("analytic", "zero")
 class ZeroSamplesError(ValueError):
     """Every coefficient f_k dx_k is zero, so ||a|| = 0 and |a> does not exist."""
 
-    def __init__(self, count: int):
-        super().__init__(f"all-zero samples cannot be encoded as a state: f_k dx_k is 0 "
-                         f"at all {count} particles")
-
 
 @dataclass(frozen=True)
 class FunctionSamples:
@@ -133,7 +129,8 @@ def build_a(disc: ParticleDiscretisation, samples: FunctionSamples,
         raise ValueError(f"got {values.size} samples for {disc.total_count} particles")
     raw = values * disc.widths
     if not np.any(raw):
-        raise ZeroSamplesError(raw.size)
+        raise ZeroSamplesError(f"all-zero samples cannot be encoded as a state: "
+                               f"f_k dx_k is 0 at all {raw.size} particles")
     padded = np.zeros(register_length(disc.total_count), dtype=complex)
     padded[:raw.size] = raw
     state, exact_norm = normalize(padded)
@@ -151,7 +148,8 @@ def coefficient_norm(disc: ParticleDiscretisation, samples: FunctionSamples) -> 
     coeff = samples.values * disc.widths
     scale = float(np.max(np.abs(coeff)))
     if scale == 0.0:
-        raise ZeroSamplesError(coeff.size)
+        raise ZeroSamplesError(f"all-zero samples cannot be encoded as a state: "
+                               f"f_k dx_k is 0 at all {coeff.size} particles")
     exponent = math.frexp(scale)[1]
     return math.ldexp(float(np.linalg.norm(np.ldexp(coeff, -exponent))), exponent)
 

@@ -125,6 +125,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ["run", "--shots", "100000000000000000000", "--estimator", "sampled"],
     ["run", "--seed", str(2 ** 128)],
     ["run", "--pe-qubits", "1100", "--estimator", "phase"],
+    ["sweep", "--domain", "1", "1.000000000001", "--m-max", "16"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsph import harness
-from qsph.discretization import Domain, sample_points, uniform_discretise
+from qsph.discretization import DiscretisationError, Domain, sample_points, uniform_discretise
 from qsph.harness import (
     CSV_HEADER,
     ConfigError,
@@ -142,10 +142,50 @@ def test_config_accepts_a_domain_pair():
     ({"domain": (0.0, 1e-320), "smoothing_length": 0.5}, "smoothing_length"),
     ({"domain": (0.0,)}, "domain"),
     ({"domain": (0.0, "1")}, "domain"),
+    # 256 cells of 1e-320 / 256 round to 8 subnormal ulps each and overshoot b
+    ({"domain": (0.0, 1e-320)}, "domain"),
+    ({"domain": (0.0, 5e-324)}, "domain"),
+    ({"domain": (-1e308, 1e308)}, "domain"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=st.floats(-1e300, 1e300), ulps_per_cell=st.floats(0.25, 64.0),
+       m=st.integers(2, 16), kernel=st.sampled_from(list(KernelFamily)))
+def test_accepted_domains_keep_the_particles_distinct(a, ulps_per_cell, m, kernel):
+    # cells a few ulps of a wide, where rounding can merge neighbours
+    b = a + ulps_per_cell * 2 ** m * math.ulp(a)
+    try:
+        config = ExperimentConfig(kernel=kernel, qubits=m, domain=(a, b))
+    except ConfigError as exc:
+        assert str(exc).startswith("domain:")
+        return
+    try:
+        uniform_discretise(config.domain, config.num_particles, config.ghosts_per_end)
+    except DiscretisationError as exc:
+        # the config vouches for distinct edges and positions only
+        assert "strictly increasing" not in str(exc)
+
+
+@pytest.mark.parametrize("kernel", list(KernelFamily))
+def test_cells_of_32_ulps_are_accepted(kernel):
+    for m in range(2, 17):
+        config = ExperimentConfig(kernel=kernel, qubits=m,
+                                  domain=(1.0, 1.0 + 2 ** m * 32 * math.ulp(1.0)))
+        uniform_discretise(config.domain, config.num_particles, config.ghosts_per_end)
+
+
+def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
+    # [1, 1 + 1e-12] has distinct particles up to m = 9 or so; m = 16 has none
+    def must_not_run(config):
+        raise AssertionError(f"ran m = {config.qubits}")
+    monkeypatch.setattr(harness, "run_experiment", must_not_run)
+    base = ExperimentConfig(domain=(1.0, 1.000000000001))
+    with pytest.raises(ConfigError, match="domain: .* too short for 2"):
+        run_convergence_sweep(base, range(4, 17))
 
 
 def test_read_rows_enforces_error_consistency(tmp_path):

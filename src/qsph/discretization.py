@@ -1,9 +1,10 @@
 """1-D particle discretisation of a finite interval.
 
 The interval [a, b] is split into N subintervals; one particle sits at the
-centre of each. Optional boundary (ghost) particles continue the outermost
-spacing beyond the interval ends, which mitigates kernel-support truncation
-when summing near a or b.
+centre of each and carries its width. Optional boundary (ghost) particles
+continue the outermost spacing beyond the interval ends, which mitigates
+kernel-support truncation when summing near a or b. A layout is the particle
+positions and widths alone; the subinterval edges are not kept.
 """
 from __future__ import annotations
 
@@ -37,60 +38,45 @@ class Domain:
 
 @dataclass(frozen=True)
 class ParticleDiscretisation:
-    """Subinterval edges plus particle positions and widths.
+    """Particle positions and widths, the only layout data the sums read.
 
-    ``edges`` holds the N+1 interior subinterval edges (edges[0] = a,
-    edges[-1] = b). ``positions`` and ``widths`` cover all particles in
-    ascending order: ``n_boundary_each_end`` ghosts below a, the N interior
-    particles, then the same number of ghosts above b. Ghost particles carry
-    the width of the adjacent interior subinterval.
+    ``positions`` and ``widths`` cover all particles in ascending order:
+    ``n_boundary_each_end`` ghosts below the domain, the interior particles,
+    then the same number of ghosts above it. Every entry is finite, the
+    positions strictly increase and the widths are positive.
     """
 
-    edges: np.ndarray
     positions: np.ndarray
     widths: np.ndarray
     n_boundary_each_end: int
     total_count: int = field(init=False)
 
     def __post_init__(self):
-        edges = np.asarray(self.edges, dtype=float)
         positions = np.asarray(self.positions, dtype=float)
         widths = np.asarray(self.widths, dtype=float)
         nb = self.n_boundary_each_end
 
-        if edges.ndim != 1 or edges.size < 2:
-            raise DiscretisationError("need at least two subinterval edges")
-        if np.any(np.diff(edges) <= 0.0):
-            raise DiscretisationError("edges must be strictly increasing")
         if nb < 0:
             raise DiscretisationError("n_boundary_each_end must be nonnegative")
-        n_interior = edges.size - 1
-        if positions.shape != widths.shape or positions.size != n_interior + 2 * nb:
+        if positions.ndim != 1 or positions.shape != widths.shape or positions.size <= 2 * nb:
             raise DiscretisationError("positions/widths must cover interior plus boundary particles")
-        if np.any(np.diff(positions) <= 0.0):
+        # first, so that no comparison below meets a NaN or an infinity
+        if not (np.isfinite(positions).all() and np.isfinite(widths).all()):
+            raise DiscretisationError("positions and widths must be finite")
+        if not np.all(positions[1:] > positions[:-1]):
             raise DiscretisationError("positions must be strictly increasing")
-        if np.any(widths <= 0.0):
+        if not np.all(widths > 0.0):
             raise DiscretisationError("widths must be positive")
 
-        interior = positions[nb:positions.size - nb]
-        mid = 0.5 * (edges[:-1] + edges[1:])
-        atol = 1e-12 * max(1.0, abs(edges[-1]))
-        # np.isclose(interior, mid, rtol=0, atol): equal infinities match, NaN
-        # matches nothing, and an infinite centre only its equal (atol may be inf)
-        centred = (np.abs(interior - mid) <= atol) & np.isfinite(mid) | (interior == mid)
-        if not centred.all():
-            raise DiscretisationError("interior particles must sit at subinterval centres")
-
-        for arr in (edges, positions, widths):
+        for arr in (positions, widths):
             arr.setflags(write=False)
-        object.__setattr__(self, "edges", edges)
         object.__setattr__(self, "positions", positions)
         object.__setattr__(self, "widths", widths)
         object.__setattr__(self, "total_count", positions.size)
 
     @property
     def num_interior(self) -> int:
-        return self.edges.size - 1
+        return self.total_count - 2 * self.n_boundary_each_end
 
     @property
     def interior_positions(self) -> np.ndarray:
@@ -113,13 +99,9 @@ def uniform_discretise(domain: Domain, num_particles: int,
     """
     if num_particles < 1:
         raise DiscretisationError("num_particles must be at least 1")
-    if n_boundary_each_end < 0:
-        raise DiscretisationError("n_boundary_each_end must be nonnegative")
 
     n, nb = num_particles, n_boundary_each_end
     dx = domain.length / n
-    edges = domain.a + np.arange(n + 1) * dx
-    edges[-1] = domain.b  # guard the right endpoint against accumulation error
     # Positions built from (k + 1/2) dx offsets: for dyadic domains this keeps
     # the layout bit-exactly mirror-symmetric, which the odd-kernel
     # cancellation tests rely on.
@@ -128,14 +110,17 @@ def uniform_discretise(domain: Domain, num_particles: int,
     right = domain.b + (np.arange(nb) + 0.5) * dx
     positions = np.concatenate([left, interior, right])
     widths = np.full(positions.size, dx)
-    return ParticleDiscretisation(edges, positions, widths, nb)
+    return ParticleDiscretisation(positions, widths, nb)
 
 
 def from_edges(edges, n_boundary_each_end: int = 0) -> ParticleDiscretisation:
     """Discretisation from explicit (possibly non-uniform) subinterval edges.
 
-    Ghost particles continue the outermost subinterval width beyond each end.
-    ``ParticleDiscretisation`` checks that the edges increase.
+    Each particle sits at the centre of its subinterval and carries its
+    width; ghost particles continue the outermost width beyond each end. A
+    non-increasing edge shows up as a non-positive width, and an infinite
+    edge or an overflowing centre as a non-finite entry, both of which
+    ``ParticleDiscretisation`` rejects.
     """
     edges = np.asarray(edges, dtype=float)
     if edges.ndim != 1 or edges.size < 2:
@@ -148,7 +133,7 @@ def from_edges(edges, n_boundary_each_end: int = 0) -> ParticleDiscretisation:
     right = edges[-1] + (np.arange(nb) + 0.5) * dxr
     positions = np.concatenate([left, interior, right])
     widths = np.concatenate([np.full(nb, dxl), widths_int, np.full(nb, dxr)])
-    return ParticleDiscretisation(edges, positions, widths, nb)
+    return ParticleDiscretisation(positions, widths, nb)
 
 
 def sample_points(domain: Domain, n: int) -> np.ndarray:

@@ -169,7 +169,7 @@ class ExperimentConfig:
         # uniform_discretise computes each coordinate a + (j + 1/2) dx to within
         # (2^m + 2 ghosts) ulp(dx) / 2, from the rounded dx, plus a few
         # ulp(reach), from the length, product and sum. Neighbours are dx apart,
-        # so a dx above twice that keeps every edge and position increasing.
+        # so a dx above twice that keeps every position increasing.
         nb = self.ghosts_per_end
         reach = max(abs(a), abs(b)) + (nb + 1) * dx
         if not dx > (self.num_particles + 2 * nb) * math.ulp(dx) + 8 * math.ulp(reach):
@@ -280,8 +280,6 @@ def _direct_sums(config: ExperimentConfig):
     if config.norm_mode == "integral":
         norm_a = integral_norm_estimate(config.domain, target_function,
                                         config.num_particles)
-        if not norm_a > 0.0:
-            raise ValueError("approximate norm must be positive")
     cn = scaling_constant(spec) * register_length(disc.total_count)
     return xs, sph_sums(disc, samples, spec, xs), exact_norm, norm_a, cn
 

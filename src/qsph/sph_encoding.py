@@ -48,7 +48,8 @@ BOUNDARY_MODES = ("analytic", "zero")
 
 
 class ZeroSamplesError(ValueError):
-    """Every coefficient f_k dx_k is zero, so ||a|| = 0 and |a> does not exist."""
+    """f is zero wherever it is sampled, so ||a|| (or its integral estimate)
+    is 0 and |a> does not exist."""
 
 
 @dataclass(frozen=True)
@@ -168,9 +169,17 @@ def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray]
     if n_subintervals < 1:
         raise ValueError("need at least 1 subinterval")
     xs = np.linspace(domain.a, domain.b, quadrature_points)
-    fsq = np.asarray(f(xs), dtype=float) ** 2
-    integral = float(np.trapezoid(fsq, xs))
-    return float(np.sqrt(domain.length / n_subintervals * integral))
+    fx = np.asarray(f(xs), dtype=float)
+    peak = float(np.max(np.abs(fx)))
+    if peak == 0.0:
+        raise ZeroSamplesError(f"the integral norm estimate is 0: "
+                               f"f is 0 at all {xs.size} quadrature nodes")
+    # f and the nodes scaled by exact powers of two near their sizes, so that
+    # neither f^2 nor the length times the integral underflows
+    ef, ex = math.frexp(peak)[1], math.frexp(domain.length)[1]
+    integral = float(np.trapezoid(np.ldexp(fx, -ef) ** 2, np.ldexp(xs, -ex)))
+    scaled = math.ldexp(domain.length, -ex) / n_subintervals * integral
+    return math.ldexp(float(np.sqrt(scaled)), ef + ex)
 
 
 def check_closure(peak: float, c: float, register_len: int) -> None:

@@ -149,6 +149,26 @@ def test_tiny_domain_sampled_run_is_finite(capsys):
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("domain", [["1e100", "2e100"], ["0", "1e-300"]])
+def test_extreme_domain_integral_norm_run_is_finite(capsys, domain):
+    # f^2 ~ 1e-404 on the first, length^2 / 16 ~ 1e-601 on the second: the
+    # quadrature must underflow on neither
+    assert cli.main(["run", "--qubits", "4", "--points", "3", "--norm", "integral",
+                     "--domain", *domain]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+def test_domain_far_left_of_zero_runs(capsys):
+    # |a| >> |b|: the 16 particles are distinct and centred to within ulps of 1e5
+    assert cli.main(["run", "--qubits", "4", "--points", "3",
+                     "--domain", "-100000", "0.001"]) == 0
+    rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
 @pytest.mark.parametrize("command", [["run", "--qubits", "8"], ["sweep", "--m-max", "5"]])
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_all_zero_target_exits_3(capsys, command):

@@ -1,4 +1,4 @@
-"""Particle layout construction: edges, centres, widths, ghost particles."""
+"""Particle layout construction: centres, widths, ghost particles, layout checks."""
 import numpy as np
 import pytest
 from hypothesis import given
@@ -27,7 +27,6 @@ def test_domain_validation():
 
 def test_uniform_four_cells_unit_interval():
     disc = uniform_discretise(Domain(0.0, 1.0), 4)
-    np.testing.assert_array_equal(disc.edges, [0.0, 0.25, 0.5, 0.75, 1.0])
     np.testing.assert_array_equal(disc.positions, [0.125, 0.375, 0.625, 0.875])
     np.testing.assert_array_equal(disc.widths, [0.25, 0.25, 0.25, 0.25])
     assert disc.total_count == 4
@@ -81,16 +80,18 @@ def test_from_edges_rejects_non_increasing():
 
 
 def test_positions_inside_their_cells():
-    disc = from_edges([0.0, 0.3, 0.45, 0.9, 2.0], n_boundary_each_end=2)
+    edges = [0.0, 0.3, 0.45, 0.9, 2.0]
+    disc = from_edges(edges, n_boundary_each_end=2)
     interior = disc.interior_positions
+    assert disc.num_interior == len(edges) - 1
     for k in range(disc.num_interior):
-        assert disc.edges[k] < interior[k] < disc.edges[k + 1]
+        assert edges[k] < interior[k] < edges[k + 1]
 
 
 def test_edges_recoverable_from_positions_and_widths():
     disc = uniform_discretise(Domain(-3.0, 5.0), 32, n_boundary_each_end=3)
     left = disc.interior_positions - disc.interior_widths / 2.0
-    np.testing.assert_allclose(left, disc.edges[:-1], rtol=0, atol=1e-15)
+    np.testing.assert_allclose(left, -3.0 + np.arange(32) * 0.25, rtol=0, atol=1e-15)
 
 
 def test_arrays_are_read_only():
@@ -98,7 +99,7 @@ def test_arrays_are_read_only():
     with pytest.raises(ValueError):
         disc.positions[0] = 99.0
     with pytest.raises(ValueError):
-        disc.edges[0] = 99.0
+        disc.widths[0] = 99.0
 
 
 def test_sample_points_span_the_domain():
@@ -122,72 +123,100 @@ def test_counts_and_ordering(n, nb):
 NAN, INF = float("nan"), float("inf")
 
 
-def _layout(edges, positions, widths, nb=0):
-    return ParticleDiscretisation(np.array(edges, dtype=float),
-                                  np.array(positions, dtype=float),
+def _layout(positions, widths, nb=0):
+    return ParticleDiscretisation(np.array(positions, dtype=float),
                                   np.array(widths, dtype=float), nb)
 
 
 @pytest.mark.parametrize("edges", [[0.0, 1.0, 1.0, 2.0], [0.0, 2.0, 1.0, 3.0]])
 def test_layout_rejects_non_increasing_edges(edges):
-    with pytest.raises(DiscretisationError, match="edges must be strictly increasing"):
-        _layout(edges, [0.5, 1.5, 2.5], [1.0, 1.0, 1.0])
+    # a repeated or backward edge is a subinterval of non-positive width
+    with pytest.raises(DiscretisationError, match="widths must be positive"):
+        from_edges(edges)
 
 
 def test_layout_rejects_non_increasing_positions():
     for ghosts in ([0.5, -0.5], [-0.5, -0.5], [-0.4, -0.5]):
         with pytest.raises(DiscretisationError, match="positions must be strictly increasing"):
-            _layout([0.0, 1.0, 2.0], ghosts + [0.5, 1.5], [1.0] * 4, nb=1)
-    # dx = 1 ulp of 1.0: the edges still increase, the centres round together
+            _layout(ghosts + [0.5, 1.5], [1.0] * 4, nb=1)
+    # dx = 1 ulp of 1.0: the centres round together
     with pytest.raises(DiscretisationError, match="positions must be strictly increasing"):
         uniform_discretise(Domain(1.0, 1.0 + 2.0 ** -50), 4)
-    # dx below 1 ulp of 1.0: the edges collapse first, so their check fires
-    with pytest.raises(DiscretisationError, match="edges must be strictly increasing"):
+    # dx below 1 ulp of 1.0: the centres collapse onto a few doubles
+    with pytest.raises(DiscretisationError, match="positions must be strictly increasing"):
         uniform_discretise(Domain(1.0, 1.0 + 1e-14), 2 ** 16)
 
 
 @pytest.mark.parametrize("widths", [[0.0, 1.0], [1.0, -0.0], [1.0, -2.0]])
 def test_layout_rejects_a_zero_or_negative_width(widths):
     with pytest.raises(DiscretisationError, match="widths must be positive"):
-        _layout([0.0, 1.0, 2.0], [0.5, 1.5], widths)
+        _layout([0.5, 1.5], widths)
 
 
-def test_layout_interior_particles_sit_within_atol_of_the_centres():
-    for b in (2.0, 1e6):  # atol = 1e-12 max(1, |b|)
-        atol = 1e-12 * max(1.0, b)
-        centres = np.array([0.25, 0.75]) * b
-        _layout([0.0, b / 2, b], centres + [0.5 * atol, -0.5 * atol], [b / 2] * 2)
-        with pytest.raises(DiscretisationError, match="subinterval centres"):
-            _layout([0.0, b / 2, b], centres + [0.0, 2.0 * atol], [b / 2] * 2)
-
-
-@pytest.mark.parametrize("edges, positions, widths, nb, rejected", [
-    ([0.0, NAN, 2.0], [0.5, 1.5], [1.0, 1.0], 0, "subinterval centres"),
-    ([0.0, 1.0, 2.0], [0.5, NAN], [1.0, 1.0], 0, "subinterval centres"),
-    ([0.0, 1.0, 2.0], [NAN, 0.5, 1.5, 2.5], [1.0] * 4, 1, None),
-    ([0.0, 1.0, 2.0], [-INF, 0.5, 1.5, 2.5], [1.0] * 4, 1, None),
-    ([0.0, 1.0, 2.0], [-0.5, 0.5, 1.5, INF], [1.0] * 4, 1, None),
-    ([0.0, 1.0, 2.0], [-1.5, -0.5, 0.5, 1.5, INF, INF], [1.0] * 6, 2, None),
-    ([0.0, 1.0, 2.0], [0.5, 1.5], [NAN, 1.0], 0, None),
-    ([0.0, 1.0, 2.0], [0.5, 1.5], [INF, 1.0], 0, None),
-    ([0.0, 1.0, 2.0], [0.5, 1.5], [-INF, 1.0], 0, "widths must be positive"),
-    # an infinite last edge makes atol infinite; an infinite centre still
-    # matches only itself
-    ([0.0, 1.0, INF], [0.5, 2.0], [1.0, 1.0], 0, "subinterval centres"),
-    ([0.0, 1.0, INF], [0.5, INF], [1.0, 1.0], 0, None),
-    ([-INF, 0.0, 1.0], [-1.0, 0.5], [1.0, 1.0], 0, "subinterval centres"),
-    ([-INF, 0.0, 1.0], [-INF, 0.5], [1.0, 1.0], 0, None),
-    ([-INF, -INF], [-INF], [1.0], 0, None),
-    ([-INF, -INF], [0.0], [1.0], 0, "subinterval centres"),
-    ([INF, INF], [INF], [1.0], 0, None),
-    ([-INF, INF], [0.0], [1.0], 0, "subinterval centres"),
-    ([-INF, INF], [NAN], [1.0], 0, "subinterval centres"),
+@pytest.mark.parametrize("positions, widths, nb", [
+    ([0.5], [1.0], -1),
+    ([0.5, 1.5], [1.0], 0),
+    ([[0.5, 1.5]], [[1.0, 1.0]], 0),
+    ([], [], 0),
+    ([0.5, 1.5], [1.0, 1.0], 1),
 ])
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_layout_checks_on_nan_and_inf_entries(edges, positions, widths, nb, rejected):
-    """Pinned: a NaN difference is not <= 0, and the centre check is np.isclose's."""
-    if rejected is None:
-        assert _layout(edges, positions, widths, nb).total_count == len(positions)
-    else:
-        with pytest.raises(DiscretisationError, match=rejected):
-            _layout(edges, positions, widths, nb)
+def test_layout_rejects_a_bad_shape_or_ghost_count(positions, widths, nb):
+    with pytest.raises(DiscretisationError, match="nonnegative|must cover"):
+        _layout(positions, widths, nb)
+
+
+@pytest.mark.parametrize("edges, positions, widths, nb, case", [
+    ([0.0, NAN, 2.0], [0.5, 1.5], [1.0, 1.0], 0, "subinterval edge NaN"),
+    ([0.0, 1.0, 2.0], [0.5, NAN], [1.0, 1.0], 0, "subinterval centre NaN"),
+    ([0.0, 1.0, 2.0], [NAN, 0.5, 1.5, 2.5], [1.0] * 4, 1, "Non-finite ghost: NaN"),
+    ([0.0, 1.0, 2.0], [-INF, 0.5, 1.5, 2.5], [1.0] * 4, 1, "Non-finite ghost: -inf"),
+    ([0.0, 1.0, 2.0], [-0.5, 0.5, 1.5, INF], [1.0] * 4, 1, "Non-finite ghost: +inf"),
+    ([0.0, 1.0, 2.0], [-1.5, -0.5, 0.5, 1.5, INF, INF], [1.0] * 6, 2,
+     "Non-finite ghosts: two at +inf"),
+    ([0.0, 1.0, 2.0], [0.5, 1.5], [NAN, 1.0], 0, "Non-finite width: NaN"),
+    ([0.0, 1.0, 2.0], [0.5, 1.5], [INF, 1.0], 0, "Non-finite width: +inf"),
+    ([0.0, 1.0, 2.0], [0.5, 1.5], [-INF, 1.0], 0, "width -inf"),
+    ([0.0, 1.0, INF], [0.5, 2.0], [1.0, 1.0], 0, "subinterval edge +inf"),
+    ([0.0, 1.0, INF], [0.5, INF], [1.0, 1.0], 0, "last edge and centre +inf"),
+    ([-INF, 0.0, 1.0], [-1.0, 0.5], [1.0, 1.0], 0, "first edge -inf"),
+    ([-INF, 0.0, 1.0], [-INF, 0.5], [1.0, 1.0], 0, "first edge and centre -inf"),
+    ([-INF, -INF], [-INF], [1.0], 0, "both edges and the centre -inf"),
+    ([-INF, -INF], [0.0], [1.0], 0, "both edges -inf"),
+    ([INF, INF], [INF], [1.0], 0, "both edges and the centre +inf"),
+    ([-INF, INF], [0.0], [1.0], 0, "edges -inf and +inf"),
+    ([-INF, INF], [NAN], [1.0], 0, "edges -inf and +inf, centre NaN"),
+])
+def test_layout_checks_on_nan_and_inf_entries(edges, positions, widths, nb, case):
+    """A layout, or edges for ``from_edges``, with a NaN or an infinity
+    anywhere is rejected, before any comparison could warn or let a NaN
+    difference through; the finite ones are accepted. ``case`` names the row."""
+    for build, values in ((lambda: _layout(positions, widths, nb), positions + widths),
+                          (lambda: from_edges(edges, nb), edges)):
+        if np.isfinite(values).all():
+            assert build().total_count == len(positions)
+            continue
+        # inf - inf in from_edges gives a NaN width or centre, which is rejected
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(DiscretisationError, match="must be finite"):
+            build()
+
+
+def test_from_edges_rejects_an_infinite_edge():
+    # its centre and ghosts would sit at +inf, twice
+    with pytest.raises(DiscretisationError, match="must be finite"):
+        from_edges([0.0, 1.0, INF], 1)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_from_edges_rejects_an_overflowing_centre():
+    # finite edges whose midpoint sums overflow to inf
+    with pytest.raises(DiscretisationError, match="must be finite"):
+        from_edges([0.0, 1e308, 1.7e308, 1.79e308])
+
+
+@pytest.mark.parametrize("a, m", [(-1e16, 4), (-1e13, 12)])
+def test_uniform_layout_on_a_domain_far_left_of_zero(a, m):
+    # |a| >> |b|: the particles are distinct and centred to within ulps of a
+    disc = uniform_discretise(Domain(a, 1.0), 2 ** m, n_boundary_each_end=3)
+    assert disc.num_interior == 2 ** m
+    assert np.all(np.diff(disc.positions) > 0)

@@ -166,7 +166,7 @@ def test_accepted_domains_keep_the_particles_distinct(a, ulps_per_cell, m, kerne
     try:
         uniform_discretise(config.domain, config.num_particles, config.ghosts_per_end)
     except DiscretisationError as exc:
-        # the config vouches for distinct edges and positions only
+        # the config vouches for distinct positions only
         assert "strictly increasing" not in str(exc)
 
 

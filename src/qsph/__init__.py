@@ -1,19 +1,24 @@
 """Classical simulation of register-encoded SPH kernel summation.
 
-An SPH approximation sum_k f_k dx_k W(x - r_k, h) is rewritten as the real
-part of an inner product of two unit-norm register states and read out
-either exactly, from simulated measurement shots, or through an idealized
-phase-estimation quantizer. Submodules:
+An SPH approximation sum_k f_k dx_k W(x - r_k, h) is the real part of an
+inner product of two unit-norm register states, scaled back by c N ||a||,
+and is read out either exactly, from simulated measurement shots, or
+through an idealized phase-estimation quantizer. A run computes Re <a|W>
+from the direct sums and never builds the registers. Run-path submodules:
 
 kernels        -- Gaussian / Wendland kernels, derivatives, peak constants
 discretization -- 1-D particle layouts with ghost particles
-quantum_state  -- dense state vectors and operators
-sph_encoding   -- the |a>, |W> construction, the reconstruction identity
-                  and the batched direct sums the experiments read out
-swap_test      -- overlap readout (exact / sampled / phase-quantized)
+sph_encoding   -- the batched direct sums, ||a|| and the register length
 harness        -- end-to-end experiments as closed forms in Re <a|W>,
                   returned as float columns; RMS convergence, CSV output
 cli            -- `qsph run` and `qsph sweep`
+
+The dense reference the run path is tested against is imported only on
+request, never from here:
+
+quantum_state  -- dense state vectors and operators
+registers      -- the |a>, |W> states and the reconstruction identity
+swap_test      -- overlap readout (exact / sampled / phase-quantized)
 """
 from .discretization import (
     DiscretisationError,
@@ -34,26 +39,7 @@ from .harness import (
     target_function,
 )
 from .kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
-from .quantum_state import Operator, StateVector, inner_product, normalize
-from .sph_encoding import (
-    EncodedPair,
-    FunctionSamples,
-    classical_sph_sum,
-    encode,
-    reconstruct,
-    register_length,
-    sph_sums,
-)
-from .swap_test import (
-    EstimationResult,
-    SwapTestState,
-    build_rotation_operator,
-    build_swap_state,
-    estimate_exact,
-    estimate_phase,
-    estimate_sampled,
-    rotation_eigenpairs,
-)
+from .sph_encoding import FunctionSamples, register_length, sph_sums
 
 __version__ = "0.1.0"
 
@@ -62,32 +48,16 @@ __all__ = [
     "Curve",
     "DiscretisationError",
     "Domain",
-    "EncodedPair",
-    "EstimationResult",
     "ExperimentConfig",
     "FunctionSamples",
     "KernelFamily",
     "KernelSpec",
-    "Operator",
     "ParticleDiscretisation",
-    "StateVector",
-    "SwapTestState",
-    "build_rotation_operator",
-    "build_swap_state",
-    "classical_sph_sum",
     "decompose_error",
-    "encode",
-    "estimate_exact",
-    "estimate_phase",
-    "estimate_sampled",
     "evaluate",
     "from_edges",
-    "inner_product",
-    "normalize",
-    "reconstruct",
     "register_length",
     "rms_error",
-    "rotation_eigenpairs",
     "run_convergence_sweep",
     "run_experiment",
     "sample_points",

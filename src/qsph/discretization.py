@@ -126,6 +126,8 @@ def from_edges(edges, n_boundary_each_end: int = 0) -> ParticleDiscretisation:
     if edges.ndim != 1 or edges.size < 2:
         raise DiscretisationError("need at least two subinterval edges")
     nb = n_boundary_each_end
+    if nb < 0:  # named here: np.full would reject the negative length first
+        raise DiscretisationError("n_boundary_each_end must be nonnegative")
     widths_int = np.diff(edges)
     interior = 0.5 * (edges[:-1] + edges[1:])
     dxl, dxr = widths_int[0], widths_int[-1]

@@ -3,10 +3,11 @@
 Approximates the scaled Witch-of-Agnesi bell f(x) = 1/(1 + 25 x^2) (or its
 first or second derivative) over a 1-D domain: discretise into 2^m
 subintervals with ghost particles at each end, sample f at the particles,
-encode, estimate the overlap, reconstruct, and compare against the analytic
-value at a set of query points. Emits per-point CSV curves and RMS
-convergence sweeps over the register size m. A run's result is columnar: one
-``Curve`` of float arrays, written as CSV in one formatting call.
+read the overlap Re <a|W> off the direct sums, reconstruct, and compare
+against the analytic value at a set of query points. Emits per-point CSV
+curves and RMS convergence sweeps over the register size m. A run's result
+is columnar: one ``Curve`` of float arrays, written as CSV in one
+formatting call.
 
 Derivatives come from swapping in the derivative kernel; the particle
 samples are always plain function values. The smoothing length follows
@@ -78,7 +79,9 @@ _INTEGER_RANGES = {
     "boundary_particles": (1, math.inf),
     "shots": (1, 2 ** 63 - 1),  # numpy's binomial takes an int64 count
     "seed": (0, 2 ** 128 - 1),  # the Philox key is 128 bits
-    "pe_qubits": (1, 1023),  # the grid 2^pe_qubits must be a finite double
+    # the largest n at which rounding theta and the readout in doubles stays
+    # under 1e-3 of the phase bound 2 sin(pi / 2^(n+1)); it grows as 2^n
+    "pe_qubits": (1, 40),
 }
 
 
@@ -109,15 +112,17 @@ class ExperimentConfig:
     tests check it against are O(2^m). domain: a Domain or an (a, b) pair of
     finite reals, a < b. eval_points: int >= 2. norm_mode, estimator,
     boundary_values: one of NORM_MODES, ESTIMATORS, BOUNDARY_MODES. shots:
-    int in [1, 2^63 - 1]; seed: in [0, 2^128 - 1]; pe_qubits: in [1, 1023];
-    only their estimator reads them. smoothing_length: finite float > 0, or
-    None for the rule h = 2 dx, with dx = domain length / 2^qubits (that is
-    4 / 2^qubits on [-1, 1]). boundary_particles: int >= 1, or None for
-    ceil(support_radius / dx) + 1 per end (17 Gaussian, 5 Wendland at the
-    default h, on any domain), so no query point's support leaves the
-    particles; a sweep keeps either one if set. support_radius / dx must be
-    finite, and dx must exceed the rounding of the particle coordinates
-    (about 8 ulps of the farthest one), so every particle is distinct.
+    int in [1, 2^63 - 1]; seed: in [0, 2^128 - 1]; pe_qubits: in [1, 40],
+    beyond which double rounding of the angle outgrows the phase readout's
+    bound; only their estimator reads them. smoothing_length: finite
+    float > 0, or None for the rule h = 2 dx, with dx = domain length /
+    2^qubits (that is 4 / 2^qubits on [-1, 1]). boundary_particles:
+    int >= 1, or None for ceil(support_radius / dx) + 1 per end (17
+    Gaussian, 5 Wendland at the default h, on any domain), so no query
+    point's support leaves the particles; a sweep keeps either one if set.
+    support_radius / dx must be finite, and dx must exceed the rounding of
+    the particle coordinates (about 8 ulps of the farthest one), so every
+    particle is distinct.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -292,7 +297,7 @@ def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
     multiplies back (exact or estimated):
 
     * exact:   S norm_a / ||a||; with the exact norm the ratio is 1.0,
-               so the output is bit-identical to ``classical_sph_sum``.
+               so the output is the direct sum S bit for bit.
     * sampled: c N norm_a (2 k / shots - 1), with k ~ Binomial(shots, p0)
                the counts of ``shot_counts`` at p0 = (1 + rho) / 2, drawn
                for all points from one Philox stream keyed by seed.
@@ -320,9 +325,9 @@ def run_experiment(config: ExperimentConfig) -> Curve:
     ``sph_sums``, and in rho = Re <a|W> = S / (c N ||a||). ``|a>`` does not
     depend on x, so its norm is computed once. The exact values come from
     one array call of ``target_function``; no per-point object is built.
-    The results equal what the dense registers of ``sph_encoding.encode``
-    and the ``swap_test`` estimators give, up to rounding; the tests check
-    that they do.
+    The results equal what the dense registers of ``registers.encode`` and
+    the ``swap_test`` estimators give, up to rounding; the tests check that
+    they do. Neither module is imported here.
     """
     xs, sums, exact_norm, norm_a, cn = _direct_sums(config)
     approx = _readout(config.estimator, config, sums, exact_norm, norm_a, cn)

@@ -80,9 +80,6 @@ class Operator:
         defect = self.entries.conj().T @ self.entries - np.eye(rows)
         return bool(np.max(np.abs(defect)) <= tol)
 
-    def dagger(self) -> "Operator":
-        return Operator(self.entries.conj().T)
-
 
 def basis_state(dim: int, k: int) -> StateVector:
     """Computational basis state |k> in dimension dim."""

@@ -16,12 +16,8 @@ from qsph.discretization import Domain, from_edges, uniform_discretise
 from qsph.harness import ExperimentConfig, run_experiment, rms_error, target_function
 from qsph.kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.quantum_state import inner_product, normalize
-from qsph.sph_encoding import (
-    FunctionSamples,
-    classical_sph_sum,
-    encode,
-    reconstruct,
-)
+from qsph.registers import encode, reconstruct
+from qsph.sph_encoding import FunctionSamples, sph_sums
 from qsph.swap_test import (
     build_rotation_operator,
     build_swap_state,
@@ -74,7 +70,7 @@ def _randomized_suite():
 
         pair = encode(disc, samples, spec, x)
         rec = reconstruct(pair)
-        direct = classical_sph_sum(disc, samples, spec, x)
+        direct = float(sph_sums(disc, samples, spec, [x])[0])
         max_identity_defect = max(max_identity_defect,
                                   abs(rec - direct) / (1.0 + abs(direct)))
         norm_sq = float(np.sum(np.abs(pair.state_w.amplitudes) ** 2))

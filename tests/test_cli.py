@@ -2,7 +2,8 @@
 checks cover the console script: one starts the `[project.scripts]` entry
 point declared in pyproject.toml the way the generated wrapper does, so it
 needs no install; the other runs the installed `qsph` executable and is
-skipped when none is on PATH."""
+skipped when none is on PATH. A third checks, in a fresh interpreter, that
+runs and sweeps never import the dense register oracle."""
 import json
 import math
 import os
@@ -126,6 +127,7 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ["run", "--seed", str(2 ** 128)],
     ["run", "--pe-qubits", "1100", "--estimator", "phase"],
     ["sweep", "--domain", "1", "1.000000000001", "--m-max", "16"],
+    ["run", "--pe-qubits", "41", "--estimator", "phase"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -236,3 +238,29 @@ def test_console_script_on_path_runs(tmp_path):
     proc = subprocess.run(["qsph", *SCRIPT_ARGS], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     _assert_script_streams_curve(proc)
+
+
+ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")
+RUNS_THEN_LIST_ORACLE = """
+import sys
+from qsph import cli
+out, oracle = sys.argv[1], sys.argv[2:]
+for estimator in ("exact", "sampled", "phase"):
+    assert cli.main(["run", "--qubits", "4", "--points", "3",
+                     "--estimator", estimator, "--out", out]) == 0
+assert cli.main(["sweep", "--m-min", "2", "--m-max", "4", "--points", "3",
+                 "--out", out]) == 0
+print(sorted(set(oracle) & set(sys.modules)))
+"""
+
+
+def test_runs_load_no_dense_oracle_module(tmp_path):
+    # in a fresh interpreter: the oracle tests import these into this one
+    package_parent = Path(qsph.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", RUNS_THEN_LIST_ORACLE, str(tmp_path / "out.csv"),
+         *ORACLE_MODULES],
+        capture_output=True, text=True, timeout=120, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(package_parent)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

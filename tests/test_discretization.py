@@ -214,6 +214,15 @@ def test_from_edges_rejects_an_overflowing_centre():
         from_edges([0.0, 1e308, 1.7e308, 1.79e308])
 
 
+def test_negative_ghost_count_is_named_by_both_builders():
+    # from_edges checks it before np.full would reject the negative length
+    for build in (lambda: from_edges([0.0, 1.0, 2.0], -1),
+                  lambda: uniform_discretise(Domain(0.0, 2.0), 2, -1)):
+        with pytest.raises(DiscretisationError,
+                           match="n_boundary_each_end must be nonnegative"):
+            build()
+
+
 @pytest.mark.parametrize("a, m", [(-1e16, 4), (-1e13, 12)])
 def test_uniform_layout_on_a_domain_far_left_of_zero(a, m):
     # |a| >> |b|: the particles are distinct and centred to within ulps of a

@@ -2,8 +2,9 @@
 
 ``run_experiment`` reads every overlap from the direct sums of
 ``sph_sums`` and never builds a register. These tests check that the
-closed forms it uses agree with the dense states of ``encode`` and the
-``swap_test`` estimators, and that its exact readout is the direct sum.
+closed forms it uses agree with the dense states of ``registers.encode``
+and the ``swap_test`` estimators, and that its exact readout is the direct
+sum.
 """
 import math
 
@@ -22,14 +23,11 @@ from qsph.harness import (
 )
 from qsph.kernels import KernelFamily, KernelSpec, scaling_constant
 from qsph.quantum_state import inner_product
+from qsph.registers import build_a, encode, reconstruct
 from qsph.sph_encoding import (
     FunctionSamples,
-    build_a,
-    classical_sph_sum,
     coefficient_norm,
-    encode,
     integral_norm_estimate,
-    reconstruct,
     register_length,
     sph_sums,
 )
@@ -154,7 +152,7 @@ def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
         samples = FunctionSamples.from_function(disc, target_function)
         spec = KernelSpec(family, order, cfg.h)
         got = run_experiment(cfg).f_approx.tolist()
-        want = [classical_sph_sum(disc, samples, spec, x)
+        want = [sph_sums(disc, samples, spec, [x])[0]
                 for x in sample_points(cfg.domain, 300)]
         assert got == want
 

@@ -30,7 +30,7 @@ from qsph.harness import (
     write_sweep_path,
 )
 from qsph.kernels import KernelFamily, KernelSpec
-from qsph.sph_encoding import FunctionSamples, classical_sph_sum
+from qsph.sph_encoding import FunctionSamples, sph_sums
 
 # Frozen by direct summation with explicit kernel formulas (no package code
 # paths): 2^8 interior particles on [-1, 1], 4 ghosts each end, h = 4 / 2^8.
@@ -146,6 +146,7 @@ def test_config_accepts_a_domain_pair():
     ({"domain": (0.0, 1e-320)}, "domain"),
     ({"domain": (0.0, 5e-324)}, "domain"),
     ({"domain": (-1e308, 1e308)}, "domain"),
+    ({"pe_qubits": 41}, "pe_qubits"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
@@ -271,7 +272,7 @@ def test_exact_run_matches_direct_summation_bitwise():
     assert len(rows) == 9
     for x, f_exact, f_approx, abs_error in zip(*_columns(rows)):
         assert f_exact == target_function(x)
-        assert f_approx == classical_sph_sum(disc, samples, spec, x)
+        assert f_approx == sph_sums(disc, samples, spec, [x])[0]
         assert abs_error == abs(f_exact - f_approx)
 
 
@@ -462,6 +463,27 @@ def test_decompose_error_equals_separate_runs_bit_for_bit(estimator, norm_mode):
     assert d.norm_approximation.tolist() == (norm_vals - base).tolist()
     stage = d.shot_noise if estimator == "sampled" else d.quantization
     assert stage.tolist() == (final - norm_vals).tolist()
+
+
+def test_phase_readout_keeps_its_bound_at_the_pe_qubits_cap():
+    """|phase - exact| <= c N ||a|| 2 sin(pi / 2^(n+1)) up to 1e-3 of the
+    bound at the largest accepted n, over both kernels and norms, orders
+    0-2 and m = 4..16; the rounding of theta grows relative to it as 2^n."""
+    n = harness._INTEGER_RANGES["pe_qubits"][1]
+    worst = 0.0
+    for kernel in KernelFamily:
+        for order in (0, 1, 2):
+            for m in range(4, 17):
+                for norm_mode in harness.NORM_MODES:
+                    cfg = ExperimentConfig(kernel=kernel, derivative_order=order, qubits=m,
+                                           norm_mode=norm_mode, estimator="phase",
+                                           pe_qubits=n)
+                    xs, sums, exact_norm, norm_a, cn = harness._direct_sums(cfg)
+                    exact = harness._readout("exact", cfg, sums, exact_norm, norm_a, cn)
+                    phase = harness._readout("phase", cfg, sums, exact_norm, norm_a, cn)
+                    bound = cn * norm_a * 2.0 * math.sin(math.pi / 2 ** (n + 1))
+                    worst = max(worst, float(np.max(np.abs(phase - exact))) / bound)
+    assert worst <= 1.0 + 1e-3
 
 
 def test_decompose_error_routes_phase_quantization_separately():

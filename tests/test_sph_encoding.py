@@ -1,4 +1,5 @@
-"""Register encoding of the kernel sum and the reconstruction identity."""
+"""The direct sums, and the register encoding of them with the
+reconstruction identity."""
 import math
 
 import numpy as np
@@ -6,21 +7,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qsph.registers
 import qsph.sph_encoding
 from qsph.discretization import Domain, from_edges, uniform_discretise
 from qsph.harness import ExperimentConfig, run_experiment
 from qsph.kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, evaluate, scaling_constant
+from qsph.registers import EncodedPair, build_a, build_w, encode, reconstruct
 from qsph.sph_encoding import (
-    EncodedPair,
     FunctionSamples,
     ZeroSamplesError,
-    build_a,
-    build_w,
-    classical_sph_sum,
     coefficient_norm,
-    encode,
     integral_norm_estimate,
-    reconstruct,
     register_length,
     sph_sums,
     support_window,
@@ -198,7 +195,8 @@ def test_build_w_real_parts_reproduce_kernel_values():
 
 def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
     # a c far below max |W| pushes |W/(cN)|^2 past the 1/N slot budget
-    monkeypatch.setattr(qsph.sph_encoding, "scaling_constant", lambda spec: 1e-9)
+    for module in (qsph.registers, qsph.sph_encoding):
+        monkeypatch.setattr(module, "scaling_constant", lambda spec: 1e-9)
     disc = uniform_discretise(Domain(-1.0, 1.0), 16, n_boundary_each_end=2)
     samples = FunctionSamples.from_function(disc, runge)
     spec = KernelSpec(GAUSSIAN, 0, 0.25)
@@ -315,7 +313,7 @@ def test_sph_sums_do_not_depend_on_the_block_size(monkeypatch):
         blocked = sph_sums(disc, samples, spec, xs)
         monkeypatch.undo()
         np.testing.assert_array_equal(blocked, whole)
-        singles = [classical_sph_sum(disc, samples, spec, x) for x in xs]
+        singles = [sph_sums(disc, samples, spec, [x])[0] for x in xs]
         np.testing.assert_array_equal(whole, singles)
 
 
@@ -335,7 +333,7 @@ def test_encode_assembles_pair():
     pair = encode(disc, samples, KernelSpec(GAUSSIAN, 0, 0.25), 0.1)
     assert isinstance(pair, EncodedPair)
     assert pair.n_register == 32
-    assert pair.padding == 32 - 24
+    assert pair.state_a.dim - disc.total_count == 32 - 24
     assert pair.state_a.dim == pair.state_w.dim == 32
 
 
@@ -346,7 +344,7 @@ def test_reconstruct_matches_direct_sum():
         for order in (0, 1, 2):
             spec = KernelSpec(fam, order, 4.0 / 64)
             for x in (-0.83, -0.2, 0.0, 0.41, 0.99):
-                oracle = classical_sph_sum(disc, samples, spec, x)
+                oracle = sph_sums(disc, samples, spec, [x])[0]
                 got = reconstruct(encode(disc, samples, spec, x))
                 assert abs(got - oracle) / (1.0 + abs(oracle)) < 1e-10
 
@@ -362,7 +360,7 @@ def test_reconstruct_imaginary_part_is_contaminated():
     assert abs(ip.imag) > 1e-3
     scale = pair.c * pair.n_register * pair.norm_a
     assert scale * ip.real == pytest.approx(
-        classical_sph_sum(disc, samples, spec, 0.3), rel=1e-10)
+        sph_sums(disc, samples, spec, [0.3])[0], rel=1e-10)
 
 
 def test_reconstruct_with_external_overlap():
@@ -376,7 +374,7 @@ def test_reconstruct_with_external_overlap():
 def test_zero_function_sums_to_zero():
     disc = uniform_discretise(Domain(-1.0, 1.0), 16)
     zero = FunctionSamples(np.zeros(16))
-    assert classical_sph_sum(disc, zero, KernelSpec(GAUSSIAN, 0, 0.2), 0.1) == 0.0
+    assert sph_sums(disc, zero, KernelSpec(GAUSSIAN, 0, 0.2), [0.1])[0] == 0.0
 
 
 def test_padding_contributes_nothing():
@@ -385,7 +383,7 @@ def test_padding_contributes_nothing():
     pair = encode(disc, samples, KernelSpec(GAUSSIAN, 0, 0.25), 0.0)
     n = disc.total_count
     a = pair.state_a.amplitudes
-    np.testing.assert_array_equal(a[n:], np.zeros(pair.padding))
+    np.testing.assert_array_equal(a[n:], np.zeros(pair.n_register - n))
     tail = np.vdot(a[n:], pair.state_w.amplitudes[n:])
     assert tail.real == 0.0
 
@@ -393,7 +391,7 @@ def test_padding_contributes_nothing():
 def test_partition_of_unity_fine_grid():
     disc = uniform_discretise(Domain(-1.0, 1.0), 256, n_boundary_each_end=4)
     ones = FunctionSamples(np.ones(disc.total_count))
-    val = classical_sph_sum(disc, ones, KernelSpec(GAUSSIAN, 0, 4.0 / 256), 0.0)
+    val = sph_sums(disc, ones, KernelSpec(GAUSSIAN, 0, 4.0 / 256), [0.0])[0]
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
@@ -401,7 +399,7 @@ def test_odd_kernel_kills_constant():
     disc = uniform_discretise(Domain(-1.0, 1.0), 64, n_boundary_each_end=4)
     ones = FunctionSamples(np.ones(disc.total_count))
     for fam in (GAUSSIAN, WENDLAND):
-        val = classical_sph_sum(disc, ones, KernelSpec(fam, 1, 4.0 / 64), 0.0)
+        val = sph_sums(disc, ones, KernelSpec(fam, 1, 4.0 / 64), [0.0])[0]
         assert abs(val) < 1e-12
 
 
@@ -417,7 +415,7 @@ def test_oracle_equivalence_non_uniform_widths():
         fam = GAUSSIAN if trial % 2 else WENDLAND
         spec = KernelSpec(fam, int(rng.integers(0, 3)), float(rng.uniform(0.05, 1.5)))
         x = float(rng.uniform(-2.0, 2.0))
-        oracle = classical_sph_sum(disc, samples, spec, x)
+        oracle = sph_sums(disc, samples, spec, [x])[0]
         got = reconstruct(encode(disc, samples, spec, x))
         assert abs(got - oracle) / (1.0 + abs(oracle)) < 1e-10
 

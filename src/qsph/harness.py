@@ -6,8 +6,8 @@ subintervals with ghost particles at each end, sample f at the particles,
 read the overlap Re <a|W> off the direct sums, reconstruct, and compare
 against the analytic value at a set of query points. Emits per-point CSV
 curves and RMS convergence sweeps over the register size m. A run's result
-is columnar: one ``Curve`` of float arrays, written as CSV in one
-formatting call.
+is columnar: one ``Curve`` of float arrays, written as CSV by array
+passes over blocks of rows.
 
 Derivatives come from swapping in the derivative kernel; the particle
 samples are always plain function values. The smoothing length follows
@@ -25,6 +25,7 @@ from functools import partial
 
 import numpy as np
 
+from ._g17 import csv_lines
 from .discretization import Domain, sample_points, uniform_discretise
 from .kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, scaling_constant
 from .sph_encoding import (
@@ -382,19 +383,21 @@ def _fmt(v: float) -> str:
     return format(v, ".17g")
 
 
-# one curve CSV line; "%.17g" formats a double as format(v, ".17g") does
-_ROW_FORMAT = "%.17g,%.17g,%.17g,%.17g\n"
-
-
 def write_rows(stream, curve: Curve) -> None:
     """CSV with header x,f_exact,f_approx,abs_error and LF line endings.
 
-    The whole table is formatted in one operation. No field ever needs
-    quoting, so the bytes are those of ``csv.writer`` with ``_fmt``.
+    Every value is written as format(v, ".17g") writes it; no field ever
+    needs quoting, so the bytes are those of ``csv.writer`` with ``_fmt``.
+    ``csv_lines`` formats the table in array passes, a block of rows at a
+    time. The values it writes one at a time by ``"%.17g" % v`` are the
+    non-finite ones, zeros (-0.0 too), those with |v| outside
+    [1e-250, 1e250] and those within 1e-6 of a unit of the 17th digit of a
+    rounding tie.
     """
     table = np.column_stack((curve.x, curve.f_exact, curve.f_approx, curve.abs_error))
-    stream.write(",".join(CSV_HEADER) + "\n"
-                 + (_ROW_FORMAT * len(curve)) % tuple(table.ravel().tolist()))
+    stream.write(",".join(CSV_HEADER) + "\n")
+    for lines in csv_lines(table):
+        stream.write(lines)
 
 
 def write_rows_path(path: str, curve: Curve) -> None:

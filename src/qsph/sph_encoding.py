@@ -65,12 +65,13 @@ class FunctionSamples:
         """
         if boundary not in BOUNDARY_MODES:
             raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
-        values = np.asarray(f(disc.positions), dtype=float).copy()
-        if boundary == "zero" and disc.n_boundary_each_end > 0:
-            nb = disc.n_boundary_each_end
-            values[:nb] = 0.0
-            values[disc.total_count - nb:] = 0.0
-        return cls(values)
+        values = np.asarray(f(disc.positions), dtype=float)
+        nb = disc.n_boundary_each_end
+        if boundary == "zero" and nb > 0:
+            # a new array: f may have returned one the caller still holds
+            ghosts = np.zeros(nb)
+            values = np.concatenate((ghosts, values[nb:disc.total_count - nb], ghosts))
+        return cls(values)  # __post_init__ makes the one private copy
 
 
 def register_length(count: int) -> int:

@@ -23,8 +23,10 @@ Three estimators are provided:
                Binomial(shots, p0) variate from a Philox stream keyed by
                the seed, reproducible for a fixed seed and numpy version,
 * phase     -- an idealized phase-estimation quantizer: snaps theta to the
-               nearest grid point k pi / 2^n, guaranteeing
-               |theta - estimate| <= pi / 2^{n+1}.
+               nearest grid point k pi / 2^n, so the quantized angle is
+               within pi / 2^{n+1} of theta. The overlap read out of it
+               in doubles can exceed the matching bound 2 sin(pi / 2^{n+1})
+               by rounding, up to 1e-3 of that bound at 40 angle qubits.
 
 The quantizer models phase estimation as a black box with exactly its
 accuracy contract; no gate-level circuit is simulated, and the success
@@ -186,9 +188,12 @@ def estimate_phase(x: StateVector, y: StateVector, n_pe: int) -> EstimationResul
     """Idealized phase-estimation readout with an n_pe-qubit angle register.
 
     The true theta is snapped to the nearest point of the grid k pi / 2^n,
-    k in {0, ..., 2^n - 1}, ties toward the smaller k. The angle error is
-    bounded by half the grid spacing, pi / 2^{n+1}; the overlap estimate is
-    2 sin^2(theta_quantized) - 1.
+    k in {0, ..., 2^n - 1}, ties toward the smaller k, so the quantized
+    angle is within half the grid spacing, pi / 2^{n+1}, of theta. The
+    overlap estimate is 2 sin^2(theta_quantized) - 1; computed in doubles,
+    its error can exceed the matching bound 2 sin(pi / 2^{n+1}) by rounding
+    (a few ulp of 1, growing as 2^n relative to the bound), up to 1e-3 of
+    that bound at n_pe = 40, the cap of ExperimentConfig.pe_qubits.
     """
     if n_pe < 1:
         raise ValueError("phase register needs at least one qubit")

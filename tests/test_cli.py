@@ -3,7 +3,9 @@ checks cover the console script: one starts the `[project.scripts]` entry
 point declared in pyproject.toml the way the generated wrapper does, so it
 needs no install; the other runs the installed `qsph` executable and is
 skipped when none is on PATH. A third checks, in a fresh interpreter, that
-runs and sweeps never import the dense register oracle."""
+runs and sweeps never import the dense register oracle, nor fractions or
+decimal."""
+import io
 import json
 import math
 import os
@@ -17,12 +19,14 @@ import pytest
 import qsph
 from qsph import cli
 from qsph.harness import (
+    ESTIMATORS,
     Curve,
     ExperimentConfig,
     read_rows,
     run_convergence_sweep,
     run_experiment,
 )
+from test_harness import _csv_module_writer
 
 
 def _columns(curve):
@@ -201,6 +205,20 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("estimator", ESTIMATORS)
+def test_run_writes_the_bytes_of_the_csv_module_to_stdout_and_file(estimator, tmp_path,
+                                                                   capsys):
+    argv = ["run", "--qubits", "6", "--points", "2000", "--estimator", estimator]
+    expected = io.StringIO()
+    _csv_module_writer(expected, run_experiment(
+        ExperimentConfig(qubits=6, eval_points=2000, estimator=estimator)))
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == expected.getvalue()
+    out = tmp_path / "curve.csv"
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == expected.getvalue().encode("ascii")
+
+
 def test_non_finite_rows_exit_3(monkeypatch, capsys):
     bad = Curve([0.0], [1.0], [math.nan])
     monkeypatch.setattr(cli, "run_experiment", lambda config: bad)
@@ -241,16 +259,18 @@ def test_console_script_on_path_runs(tmp_path):
 
 
 ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")
-RUNS_THEN_LIST_ORACLE = """
+# exact rational arithmetic: importing it would lengthen every run's set-up
+EXACT_MODULES = ("fractions", "decimal")
+RUNS_THEN_LIST_LOADED = """
 import sys
 from qsph import cli
-out, oracle = sys.argv[1], sys.argv[2:]
+out, unwanted = sys.argv[1], sys.argv[2:]
 for estimator in ("exact", "sampled", "phase"):
     assert cli.main(["run", "--qubits", "4", "--points", "3",
                      "--estimator", estimator, "--out", out]) == 0
 assert cli.main(["sweep", "--m-min", "2", "--m-max", "4", "--points", "3",
                  "--out", out]) == 0
-print(sorted(set(oracle) & set(sys.modules)))
+print(sorted(set(unwanted) & set(sys.modules)))
 """
 
 
@@ -258,8 +278,8 @@ def test_runs_load_no_dense_oracle_module(tmp_path):
     # in a fresh interpreter: the oracle tests import these into this one
     package_parent = Path(qsph.__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, "-c", RUNS_THEN_LIST_ORACLE, str(tmp_path / "out.csv"),
-         *ORACLE_MODULES],
+        [sys.executable, "-c", RUNS_THEN_LIST_LOADED, str(tmp_path / "out.csv"),
+         *ORACLE_MODULES, *EXACT_MODULES],
         capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(package_parent)})
     assert proc.returncode == 0, proc.stderr

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsph import harness
+from qsph import _g17, harness
 from qsph.discretization import DiscretisationError, Domain, sample_points, uniform_discretise
 from qsph.harness import (
     CSV_HEADER,
@@ -399,6 +399,91 @@ def test_write_rows_matches_the_csv_module_on_special_values():
 def test_write_rows_matches_the_csv_module(rows):
     x, f_exact, f_approx = (list(col) for col in zip(*rows)) if rows else ([], [], [])
     _assert_same_bytes_as_the_csv_module(Curve(x, f_exact, f_approx))
+
+
+def _doubles(bit_patterns) -> list[float]:
+    return np.array(bit_patterns, dtype=np.uint64).view(np.float64).tolist()
+
+
+@settings(deadline=None)
+@given(st.lists(st.tuples(*[st.integers(0, 2 ** 64 - 1)] * 3), max_size=300))
+def test_write_rows_matches_the_csv_module_on_raw_bit_patterns(rows):
+    columns = [_doubles(col) for col in zip(*rows)] if rows else [[], [], []]
+    _assert_same_bytes_as_the_csv_module(Curve(*columns))
+
+
+def test_write_rows_matches_the_csv_module_across_formatting_blocks():
+    bits = np.random.default_rng(0).integers(0, 2 ** 64, (2 * _g17._BLOCK_ROWS + 3, 3),
+                                             dtype=np.uint64)
+    _assert_same_bytes_as_the_csv_module(Curve(*bits.view(np.float64).T))
+
+
+def _neighbours(value: float, count: int = 64) -> list[float]:
+    below = above = value
+    out = [value]
+    for _ in range(count):
+        below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+        out += [below, above]
+    return out
+
+
+def _assert_same_bytes_for_each_sign(values) -> None:
+    values = list(values) + [-v for v in values]
+    _assert_same_bytes_as_the_csv_module(Curve(values, values[::-1], values[1:] + values[:1]))
+
+
+def test_write_rows_matches_the_csv_module_where_g_switches_notation():
+    # %.17g writes 1e-5 and 1e17 in exponent notation, 1e-4 and 1e16 in fixed
+    _assert_same_bytes_for_each_sign(
+        v for bound in (1e-5, 1e-4, 1e16, 1e17) for v in _neighbours(bound))
+
+
+@settings(deadline=None)
+@given(st.lists(st.integers(1, 2 ** 52 - 1), min_size=1, max_size=300))
+def test_write_rows_matches_the_csv_module_on_subnormals(mantissas):
+    _assert_same_bytes_for_each_sign(_doubles(mantissas))
+
+
+def test_write_rows_matches_the_csv_module_on_rounding_ties():
+    # 2**-25 = 2.98023223876953125e-08 is halfway between two 17-digit values
+    assert format(2.0 ** -25, ".18g") == "2.98023223876953125e-08"
+    odd_multiples = [j * 2.0 ** -25 for j in range(1, 400, 2)]
+    # every odd * 2**-e whose exact decimal has 18 digits is a tie at 17 digits
+    ties = []
+    for e in range(1, 26):
+        smallest, largest = -(-10 ** 17 // 5 ** e) | 1, (10 ** 18 - 1) // 5 ** e
+        for odd in (smallest, largest - 1 + largest % 2):
+            assert len(str(odd * 5 ** e)) == 18  # the digits of odd * 2**-e
+            ties.append(odd * 2.0 ** -e)
+    _assert_same_bytes_for_each_sign(odd_multiples + ties + [math.nextafter(v, 1.0)
+                                                             for v in ties])
+
+
+def _carries_into_the_next_decade() -> list[float]:
+    """Doubles below a power of ten whose 17-digit rounding is that power."""
+    found = []
+    for q in range(-323, 309):
+        nearest = float(f"1e{q}")
+        for v in (math.nextafter(nearest, 0.0), nearest):
+            num, den = v.as_integer_ratio()
+            below = num < den * 10 ** q if q >= 0 else num * 10 ** -q < den
+            if v > 0.0 and below and format(v, ".16e").startswith("1.0000000000000000e"):
+                found.append(v)
+    return found
+
+
+def test_write_rows_matches_the_csv_module_where_the_rounding_carries():
+    carries = _carries_into_the_next_decade()
+    assert len(carries) >= 10  # 1e-14 and 1e+98 among them
+    _assert_same_bytes_for_each_sign(carries)
+
+
+@pytest.mark.parametrize("column", range(3))
+def test_write_rows_matches_the_csv_module_with_special_values_in_a_column(column):
+    specials = [-0.0, 0.0, math.nan, -math.nan, math.inf, -math.inf]
+    columns = [[0.5] * len(specials) for _ in range(3)]
+    columns[column] = specials
+    _assert_same_bytes_as_the_csv_module(Curve(*columns))
 
 
 def test_read_rows_rejects_foreign_header(tmp_path):

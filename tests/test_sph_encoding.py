@@ -48,6 +48,18 @@ def test_register_length():
         register_length(0)
 
 
+def test_zero_boundary_samples_leave_the_array_f_returned_untouched():
+    disc = uniform_discretise(Domain(-1.0, 1.0), 8, n_boundary_each_end=3)
+    returned = np.ones(disc.total_count)
+    samples = FunctionSamples.from_function(disc, lambda x: returned, boundary="zero")
+    assert samples.values.tolist() == [0.0] * 3 + [1.0] * 8 + [0.0] * 3
+    assert returned.tolist() == [1.0] * disc.total_count
+    assert not np.shares_memory(samples.values, returned)
+    analytic = FunctionSamples.from_function(disc, lambda x: returned)
+    assert analytic.values.tolist() == returned.tolist()
+    assert not np.shares_memory(analytic.values, returned)
+
+
 def test_build_a_constant_function_unit_norm():
     disc = uniform_discretise(Domain(-1.0, 1.0), 4)
     samples = FunctionSamples.from_function(disc, lambda x: np.ones_like(x))

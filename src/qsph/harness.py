@@ -27,7 +27,13 @@ import numpy as np
 
 from ._g17 import csv_lines
 from .discretization import Domain, sample_points, uniform_discretise
-from .kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, scaling_constant
+from .kernels import (
+    DERIVATIVE_ORDERS,
+    KernelFamily,
+    KernelSpec,
+    divides_by_normal_powers,
+    scaling_constant,
+)
 from .sph_encoding import (
     BOUNDARY_MODES,
     FunctionSamples,
@@ -121,9 +127,11 @@ class ExperimentConfig:
     int >= 1, or None for ceil(support_radius / dx) + 1 per end (17
     Gaussian, 5 Wendland at the default h, on any domain), so no query
     point's support leaves the particles; a sweep keeps either one if set.
-    support_radius / dx must be finite, and dx must exceed the rounding of
-    the particle coordinates (about 8 ulps of the farthest one), so every
-    particle is distinct.
+    support_radius / dx must be finite, every power of h that the kernel
+    or c divides by must be a normal double (``divides_by_normal_powers``;
+    the error names domain when h is the derived 2 dx), and dx must exceed
+    the rounding of the particle coordinates (about 8 ulps of the farthest
+    one), so every particle is distinct.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -172,6 +180,11 @@ class ExperimentConfig:
         if not math.isfinite(self.kernel_spec.support_radius / dx):
             raise ConfigError(f"smoothing_length: h = {self.h!r} must span a finite number of "
                               f"particle spacings, got dx = {dx!r} on the domain")
+        if not divides_by_normal_powers(self.kernel_spec):
+            name = "smoothing_length" if self.smoothing_length is not None else "domain"
+            raise ConfigError(f"{name}: h = {self.h!r} does not suit the {self.kernel.value} "
+                              f"kernel of order {self.derivative_order}: a power of h that it "
+                              f"divides by is 0, subnormal or beyond the doubles")
         # uniform_discretise computes each coordinate a + (j + 1/2) dx to within
         # (2^m + 2 ghosts) ulp(dx) / 2, from the rounded dx, plus a few
         # ulp(reach), from the length, product and sum. Neighbours are dx apart,
@@ -345,12 +358,16 @@ def rms_error(curve: Curve) -> float:
 
     Squares with Python ``**``, one value at a time: libm pow(v, 2) and
     v * v differ in the last bit for some doubles, and the sweep CSV keeps
-    the values pow gives.
+    the values pow gives. A square or a sum of squares beyond the largest
+    double makes the RMS inf, as a non-finite error does.
     """
     if not len(curve):
         raise ValueError("rms_error needs at least one point")
     errors = curve.abs_error.tolist()
-    return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
+    try:
+        return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
+    except OverflowError:
+        return math.inf
 
 
 def sweep_m_values(m_min: int = 4, m_max: int = 8) -> range:

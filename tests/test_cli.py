@@ -132,6 +132,11 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ["run", "--pe-qubits", "1100", "--estimator", "phase"],
     ["sweep", "--domain", "1", "1.000000000001", "--m-max", "16"],
     ["run", "--pe-qubits", "41", "--estimator", "phase"],
+    # h^3 underflows to 0, which the Gaussian W'' and c divide by
+    ["run", "--qubits", "2", "--order", "2", "--points", "9", "--h", "1e-110",
+     "--boundary-particles", "1"],
+    ["run", "--qubits", "2", "--order", "1", "--points", "9", "--h", "1e-110",
+     "--boundary-particles", "1"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -192,6 +197,17 @@ def test_short_domain_runs_with_the_default_ghosts(capsys, b):
     rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
     assert len(rows) == 3
     assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("order, h", [(2, "1e-60"), (0, "1e-200")])
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_sweep_whose_squared_errors_overflow_exits_3(capsys, order, h):
+    # errors near 1e180 and 1e199: their squares are beyond the doubles
+    assert cli.main(["sweep", "--order", str(order), "--m-min", "2", "--m-max", "2",
+                     "--points", "9", "--h", h, "--boundary-particles", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "non-finite RMS" in err
 
 
 def test_parser_is_built_once():

@@ -147,6 +147,15 @@ def test_config_accepts_a_domain_pair():
     ({"domain": (0.0, 5e-324)}, "domain"),
     ({"domain": (-1e308, 1e308)}, "domain"),
     ({"pe_qubits": 41}, "pe_qubits"),
+    # a power of h that the kernel or c divides by is 0, subnormal or overflows
+    ({"derivative_order": 2, "smoothing_length": 1e-110}, "smoothing_length"),
+    ({"derivative_order": 1, "smoothing_length": 1e-110}, "smoothing_length"),
+    ({"kernel": "wendland", "derivative_order": 1, "smoothing_length": 1e-160},
+     "smoothing_length"),
+    ({"smoothing_length": 1e-310}, "smoothing_length"),
+    ({"derivative_order": 2, "smoothing_length": 1e103}, "smoothing_length"),
+    # the default h = 2 dx of this domain is subnormal
+    ({"qubits": 2, "domain": (0.0, 1e-320)}, "domain"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):

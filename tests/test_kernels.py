@@ -1,5 +1,6 @@
 """Kernel values, analytic derivatives and the hard-coded peak constants."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -135,3 +136,27 @@ def test_vector_evaluation_matches_scalars():
 def test_never_exceeds_peak_constant(family, order, h, r):
     spec = KernelSpec(family, order, h)
     assert abs(evaluate(spec, r)) <= scaling_constant(spec) * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("family", [GAUSSIAN, WENDLAND])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_evaluate_into_out_returns_out_with_the_allocated_values(family, order):
+    h = 0.3
+    spec = KernelSpec(family, order, h)
+    # the peak, the Wendland support edge, beyond either support, negative r
+    r = np.array([[0.0, 2.0 * h, -2.0 * h, 0.1, -0.45],
+                  [2.5 * h, -2.5 * h, 9.0 * h, -9.0 * h, -100.0 * h]])
+    out = np.full(r.shape, np.nan)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(spec, r, out=out) is out
+        expected = evaluate(spec, r)
+    assert out.tobytes() == expected.tobytes()
+    if family is WENDLAND:  # +0.0, not -0.0, outside the support
+        assert out[1].tobytes() == np.zeros(5).tobytes()
+    with pytest.raises(ValueError):
+        evaluate(spec, r, out=r)
+    with pytest.raises(ValueError):
+        evaluate(spec, r, out=out[0])
+    with pytest.raises(ValueError):
+        evaluate(spec, r, out=out.astype(np.float32))

@@ -218,6 +218,17 @@ def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
         sph_sums(disc, samples, spec, [0.1])
     with pytest.raises(ValueError, match="closure"):
         run_experiment(ExperimentConfig(qubits=4, eval_points=5))
+    monkeypatch.undo()
+    # with the true c: the check takes max |W|, so values far below -c fail
+    # it next to a harmless 0, and so does a NaN
+    for bad in (-1e6, math.nan):
+        def evaluate_bad(spec, r, out):
+            out.fill(bad)
+            out.flat[0] = 0.0
+            return out
+        monkeypatch.setattr(qsph.sph_encoding, "evaluate", evaluate_bad)
+        with pytest.raises(ValueError, match="closure"):
+            sph_sums(disc, samples, spec, [0.1])
 
 
 def test_support_window_counts_particles_in_the_support():
@@ -319,14 +330,17 @@ def test_sph_sums_do_not_depend_on_the_block_size(monkeypatch):
     samples = FunctionSamples.from_function(disc, runge)
     xs = np.linspace(-1.0, 1.0, 301)
     for fam in (GAUSSIAN, WENDLAND):
-        spec = KernelSpec(fam, 1, 4.0 / 256)
-        whole = sph_sums(disc, samples, spec, xs)
-        monkeypatch.setattr(qsph.sph_encoding, "BLOCK_VALUES", 50)
-        blocked = sph_sums(disc, samples, spec, xs)
-        monkeypatch.undo()
-        np.testing.assert_array_equal(blocked, whole)
-        singles = [sph_sums(disc, samples, spec, [x])[0] for x in xs]
-        np.testing.assert_array_equal(whole, singles)
+        for order in DERIVATIVE_ORDERS:
+            spec = KernelSpec(fam, order, 4.0 / 256)
+            whole = sph_sums(disc, samples, spec, xs)
+            # blocks of three rows: the last block holds the 301st point alone
+            monkeypatch.setattr(qsph.sph_encoding, "BLOCK_VALUES",
+                                3 * support_window(disc, spec) + 2)
+            blocked = sph_sums(disc, samples, spec, xs)
+            monkeypatch.undo()
+            np.testing.assert_array_equal(blocked, whole)
+            singles = [sph_sums(disc, samples, spec, [x])[0] for x in xs]
+            np.testing.assert_array_equal(whole, singles)
 
 
 def test_sph_sums_validate_their_inputs():

@@ -129,9 +129,10 @@ class ExperimentConfig:
     point's support leaves the particles; a sweep keeps either one if set.
     support_radius / dx must be finite, every power of h that the kernel
     or c divides by must be a normal double (``divides_by_normal_powers``;
-    the error names domain when h is the derived 2 dx), and dx must exceed
-    the rounding of the particle coordinates (about 8 ulps of the farthest
-    one), so every particle is distinct.
+    the error names domain when h is the derived 2 dx), the particles and
+    ghosts together must fit twice the largest register, 2^17, and dx must
+    exceed the rounding of the particle coordinates (about 8 ulps of the
+    farthest one), so every particle is distinct.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -185,11 +186,18 @@ class ExperimentConfig:
             raise ConfigError(f"{name}: h = {self.h!r} does not suit the {self.kernel.value} "
                               f"kernel of order {self.derivative_order}: a power of h that it "
                               f"divides by is 0, subnormal or beyond the doubles")
+        # twice the largest register: any more particles and the layout, not
+        # the 2^m grid, sets the run's size (h = 1e6 on [-1, 1] asks for 2e9)
+        nb = self.ghosts_per_end
+        top = 2 ** (_INTEGER_RANGES["qubits"][1] + 1)
+        if register_length(self.num_particles + 2 * nb) > top:
+            name = "smoothing_length" if self.boundary_particles is None else "boundary_particles"
+            raise ConfigError(f"{name}: 2^{self.qubits} particles and {nb} ghosts per end "
+                              f"fill more than {top} slots, twice the largest register")
         # uniform_discretise computes each coordinate a + (j + 1/2) dx to within
         # (2^m + 2 ghosts) ulp(dx) / 2, from the rounded dx, plus a few
         # ulp(reach), from the length, product and sum. Neighbours are dx apart,
         # so a dx above twice that keeps every position increasing.
-        nb = self.ghosts_per_end
         reach = max(abs(a), abs(b)) + (nb + 1) * dx
         if not dx > (self.num_particles + 2 * nb) * math.ulp(dx) + 8 * math.ulp(reach):
             raise ConfigError(f"domain: [{a!r}, {b!r}] is too short for 2^{self.qubits} "
@@ -353,21 +361,26 @@ def all_finite(curve: Curve) -> bool:
     return bool(np.isfinite(curve.f_exact).all() and np.isfinite(curve.f_approx).all())
 
 
-def rms_error(curve: Curve) -> float:
-    """sqrt(mean of squared errors) over the query points.
+def _rms(values: np.ndarray) -> float:
+    """sqrt(mean of squares) of a nonempty 1-D array.
 
     Squares with Python ``**``, one value at a time: libm pow(v, 2) and
     v * v differ in the last bit for some doubles, and the sweep CSV keeps
     the values pow gives. A square or a sum of squares beyond the largest
-    double makes the RMS inf, as a non-finite error does.
+    double makes the RMS inf, as a non-finite value does.
     """
-    if not len(curve):
-        raise ValueError("rms_error needs at least one point")
-    errors = curve.abs_error.tolist()
+    values = values.tolist()
     try:
-        return math.sqrt(math.fsum(v ** 2 for v in errors) / len(errors))
+        return math.sqrt(math.fsum(v ** 2 for v in values) / len(values))
     except OverflowError:
         return math.inf
+
+
+def rms_error(curve: Curve) -> float:
+    """sqrt(mean of squared errors) over the query points (``_rms``)."""
+    if not len(curve):
+        raise ValueError("rms_error needs at least one point")
+    return _rms(curve.abs_error)
 
 
 def sweep_m_values(m_min: int = 4, m_max: int = 8) -> range:
@@ -498,11 +511,10 @@ class ErrorDecomposition:
                 + self.shot_noise + self.quantization)
 
     def component_rms(self) -> dict[str, float]:
-        out = {}
-        for name in ("discretisation", "norm_approximation",
-                     "shot_noise", "quantization"):
-            out[name] = float(np.sqrt(np.mean(getattr(self, name) ** 2)))
-        out["total"] = float(np.sqrt(np.mean(self.total ** 2)))
+        """RMS of each component and of their total, by the rule of ``rms_error``."""
+        names = ("discretisation", "norm_approximation", "shot_noise", "quantization")
+        out = {name: _rms(getattr(self, name)) for name in names}
+        out["total"] = _rms(self.total)
         return out
 
 

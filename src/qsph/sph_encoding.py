@@ -30,9 +30,11 @@ import numpy as np
 from .discretization import Domain, ParticleDiscretisation
 from .kernels import KernelSpec, evaluate, scaling_constant
 
-# most kernel values sph_sums evaluates at once: 128 KB of doubles per block
-# buffer, so the buffers of a block stay in L2 cache
-BLOCK_VALUES = 1 << 14
+# most kernel values sph_sums evaluates at once: 64 KB per float64
+# temporary, under glibc's default 128 KB mmap threshold. On the benchmark
+# workloads the sums took fewer minor page faults at 2^13 than at 2^14, and
+# no more time than at 2^12 or 2^14.
+BLOCK_VALUES = 1 << 13
 BOUNDARY_MODES = ("analytic", "zero")
 
 
@@ -178,11 +180,11 @@ def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: Kerne
     (shifted left where the layout ends). The window holds every particle
     within support_radius; the rest carry exact zeros (Wendland) or less
     than exp(-64) of the peak (Gaussian). Points go in blocks of at most
-    ``BLOCK_VALUES`` kernel values, through index, gather and kernel
-    buffers allocated once per call; ``evaluate`` writes into the kernel
-    buffer (``out=``). The kernel values must pass the closure
-    check of |W> (``check_closure``) for the smallest register that holds
-    the particles, N = register_length(total_count), the strictest N.
+    ``BLOCK_VALUES`` kernel values, each block a few array expressions
+    whose temporaries are freed before the next block. The kernel values
+    must pass the closure check of |W> (``check_closure``) for the smallest
+    register that holds the particles, N = register_length(total_count),
+    the strictest N.
     """
     values = samples.values
     if values.size != disc.total_count:
@@ -200,23 +202,9 @@ def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: Kerne
     n = register_length(disc.total_count)
     sums = np.empty(xs.size)
     step = max(1, BLOCK_VALUES // width)
-    rows = min(step, xs.size)
-    # buffers reused by every block (a last, shorter block takes their
-    # leading rows): the window indices, the kernel values, and one array
-    # that holds the gathered positions, then the offsets, then the
-    # gathered coefficients
-    index = np.empty((rows, width), dtype=np.intp)
-    gathered = np.empty((rows, width))
-    kernel = np.empty((rows, width))
     for lo in range(0, xs.size, step):
-        hi = min(lo + step, xs.size)
-        idx, g, w = index[:hi - lo], gathered[:hi - lo], kernel[:hi - lo]
-        np.add(starts[lo:hi, None], window, out=idx)
-        # every index is in range; mode "raise" would buffer the output
-        np.subtract(xs[lo:hi, None], np.take(pos, idx, out=g, mode="clip"), out=g)
-        evaluate(spec, g, out=w)
-        # max |W| with no abs temporary; a NaN makes both NaN and fails the check
-        check_closure(max(w.max(), -w.min()), c, n)
-        np.multiply(np.take(coeff, idx, out=g, mode="clip"), w, out=w)
-        np.sum(w, axis=1, out=sums[lo:hi])
+        idx = starts[lo:lo + step, None] + window
+        kernel = evaluate(spec, xs[lo:lo + step, None] - pos[idx])
+        check_closure(np.max(np.abs(kernel)), c, n)
+        sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
     return sums

@@ -137,6 +137,10 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
      "--boundary-particles", "1"],
     ["run", "--qubits", "2", "--order", "1", "--points", "9", "--h", "1e-110",
      "--boundary-particles", "1"],
+    # about 2e9 particles on [-1, 1]; the config rejects them before any array
+    ["run", "--h", "1e6"],
+    ["run", "--boundary-particles", "10000000000"],
+    ["sweep", "--h", "0.125", "--m-max", "16"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2

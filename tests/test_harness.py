@@ -156,10 +156,21 @@ def test_config_accepts_a_domain_pair():
     ({"derivative_order": 2, "smoothing_length": 1e103}, "smoothing_length"),
     # the default h = 2 dx of this domain is subnormal
     ({"qubits": 2, "domain": (0.0, 1e-320)}, "domain"),
+    # ghosts that push the layout past twice the largest register, 2^17
+    ({"smoothing_length": 1e6}, "smoothing_length"),
+    ({"smoothing_length": 1e20}, "smoothing_length"),
+    ({"boundary_particles": 10 ** 10}, "boundary_particles"),
+    ({"qubits": 16, "boundary_particles": 2 ** 15 + 1}, "boundary_particles"),
+    ({"qubits": 16, "smoothing_length": 0.125}, "smoothing_length"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+def test_layout_may_fill_twice_the_largest_register():
+    # 2^16 particles and 2^15 ghosts per end: exactly 2^17 slots
+    assert ExperimentConfig(qubits=16, boundary_particles=2 ** 15).ghosts_per_end == 2 ** 15
 
 
 @settings(max_examples=300, deadline=None)
@@ -524,6 +535,22 @@ def test_decompose_error_exact_configuration_is_pure_discretisation():
     assert set(rms) == {"discretisation", "norm_approximation", "shot_noise",
                         "quantization", "total"}
     assert rms["total"] == rms["discretisation"]
+    # the same squares and sum as rms_error, bit for bit, on every default
+    # config of both kernels, orders 0-2 and m = 4..14
+    for kernel in KernelFamily:
+        for order in (0, 1, 2):
+            for m in range(4, 15):
+                c = ExperimentConfig(kernel=kernel, derivative_order=order, qubits=m)
+                assert (decompose_error(c).component_rms()["discretisation"]
+                        == rms_error(run_experiment(c)))
+
+
+def test_component_rms_of_overflowing_squares_is_inf():
+    # errors near 1e180 at h = 1e-60: their squares overflow, as in rms_error
+    c = ExperimentConfig(derivative_order=2, qubits=2, eval_points=9,
+                         boundary_particles=1, smoothing_length=1e-60)
+    rms = decompose_error(c).component_rms()
+    assert rms["discretisation"] == rms["total"] == rms_error(run_experiment(c)) == math.inf
 
 
 def test_decompose_error_telescopes_to_the_configured_run():

@@ -222,10 +222,10 @@ def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
     # with the true c: the check takes max |W|, so values far below -c fail
     # it next to a harmless 0, and so does a NaN
     for bad in (-1e6, math.nan):
-        def evaluate_bad(spec, r, out):
-            out.fill(bad)
-            out.flat[0] = 0.0
-            return out
+        def evaluate_bad(spec, r):
+            values = np.full(np.shape(r), bad)
+            values.flat[0] = 0.0
+            return values
         monkeypatch.setattr(qsph.sph_encoding, "evaluate", evaluate_bad)
         with pytest.raises(ValueError, match="closure"):
             sph_sums(disc, samples, spec, [0.1])

@@ -8,9 +8,11 @@ For each value it finds the decimal exponent k and the 17-digit integer
 D = round(|v| 10^(16-k)) in [10^16, 10^17) exactly. 10^(16-k) is a
 double-double hi + lo built from Python ints; |v| hi is split exactly by
 Dekker's two-product (Dekker 1971) and |v| lo is added, so the fraction
-that decides the rounding is known to about 1e-14. Where the floor(log10)
-estimate of k is a decade off, only those values are redone; a rounding
-that carries D to 10^17 moves to the next decade.
+that decides the rounding is known to about 1e-14. k is the floor(log10)
+estimate, corrected by at most one decade against a table of thresholds:
+the smallest double whose 17-digit rounding is at least 10^k, built exactly
+from Python ints. So |v| 10^(16-k) lies in [10^16 - 1/2, 10^17 - 1/2), and D
+never carries to 10^17.
 
 Each field is then four little-endian 64-bit words, 32 bytes: the sign,
 the "0.000" prefix of fixed notation below 1, the 17 digits with the point
@@ -34,6 +36,7 @@ of numpy's code.
 from __future__ import annotations
 
 import functools
+import math
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,9 +47,6 @@ _K_MIN, _K_MAX = -260, 260  # the exponents the k tables cover, with room for th
 _TIE = 1e-6
 # rows formatted at once; a block's temporaries stay under about 200 KB
 _BLOCK_ROWS = 512
-# decade bounds sit 1/64 of a unit low, so that a value on a bound, such as
-# 1e20, whose product is 10^16 up to rounding, is not sent back and forth
-_MARGIN = 1 / 64
 _SPLIT = 134217729.0  # 2^27 + 1, Veltkamp's splitter for doubles
 _NO_POINT = 18  # point position of fixed notation below 1: past every digit
 _REGION = 6  # field byte of the first digit, after the sign and the "0.000" prefix
@@ -83,6 +83,20 @@ def _pow10(s: int) -> tuple[float, float]:
     return hi, (den - num * p) / (den * p)
 
 
+def _threshold(k: int) -> float:
+    """The smallest double whose 17-digit rounding is at least 10^k: the
+    first at or above (2 10^17 - 1) 10^(k-17) / 2. int / int rounds
+    correctly; a result below the bound steps up one double."""
+    num, den = 2 * 10 ** 17 - 1, 2
+    if k >= 17:
+        num *= 10 ** (k - 17)
+    else:
+        den *= 10 ** (17 - k)
+    t = num / den
+    p, q = t.as_integer_ratio()
+    return math.nextafter(t, math.inf) if p * den < num * q else t
+
+
 def _split(a):
     c = _SPLIT * a
     big = c - (c - a)
@@ -95,10 +109,10 @@ def _tables() -> SimpleNamespace:
 
     By 4-digit group 0..9999: group, its ASCII in the low four bytes and its
     count of trailing zeros above them. By k - _K_MIN, in columns: scale,
-    10^(16-k) as hi, lo and hi's Veltkamp halves; layout, see _layout. By a
-    position p among the digits, the field masks of three words: before,
-    the bytes before the digit p; dot, a point at p; after, the bytes after
-    it.
+    10^(16-k) as hi, lo and hi's Veltkamp halves; threshold, see _threshold;
+    layout, see _layout. By a position p among the digits, the field masks
+    of three words: before, the bytes before the digit p; dot, a point at p;
+    after, the bytes after it.
     """
     # from the 100 two-digit pairs, a hundred groups at a time: building all
     # 10^4 at once would raise the heap's high-water mark by its temporaries
@@ -120,6 +134,7 @@ def _tables() -> SimpleNamespace:
     return SimpleNamespace(
         group=group,
         scale=np.stack((hi, lo, *_split(hi))),
+        threshold=np.array([_threshold(k) for k in exponents]),
         layout=np.array([_layout(k) for k in exponents], np.int64).T.copy(),
         before=before, dot=dot, after=after)
 
@@ -136,38 +151,6 @@ def _scaled(a, scale):
     return s, r - (s - p)
 
 
-def _decade_miss(s, r):
-    """-1 where s + r < 10^16 - 1/64, +1 where s + r >= 10^17 - 10/64, else 0.
-    Just below 10^16, D rounds to 10^16 at k as it would carry to at k - 1."""
-    low = (s < 1e16) | ((s == 1e16) & (r < -_MARGIN))
-    high = (s > 1e17) | ((s == 1e17) & (r >= -10 * _MARGIN))
-    return np.where(high, 1, np.where(low, -1, 0))
-
-
-def _settle_decades(edge, a, at, s, r, scale):
-    """Move the values at indices edge, those with s + r outside
-    [10^16, 10^17), to the decade of their 17-digit rounding; return the
-    indices of any still out of it.
-
-    floor(log10) can be a decade off next to a power of ten; those values
-    are redone one decade over. A D that rounds to 10^17 becomes 10^16 one
-    decade up.
-    """
-    todo = edge
-    for _ in range(2):  # floor(log10) is at most one decade off
-        miss = _decade_miss(s[todo], r[todo])
-        off = np.flatnonzero(miss)
-        todo, miss = todo[off], miss[off]
-        if not len(todo):
-            break
-        at[todo] += miss
-        s[todo], r[todo] = _scaled(a[todo], np.take(scale, at[todo], axis=1))
-    carry = edge[(s[edge] == 1e17) & (r[edge] > -0.5)]  # r = -0.5 is a tie
-    at[carry] += 1
-    s[carry], r[carry] = 1e16, 0.0
-    return todo[np.flatnonzero(_decade_miss(s[todo], r[todo]))]
-
-
 def csv_lines(table: np.ndarray):
     """The rows of a 2-D float64 table as CSV text: values joined by ",",
     each row ended by "\\n", each value the bytes of format(v, ".17g").
@@ -181,18 +164,18 @@ def csv_lines(table: np.ndarray):
 
 def _round17(v: np.ndarray):
     """Per value: k - _K_MIN; D as s plus a small integer, s an even float
-    >= 10^16; and whether the value must fall back to %, where D means
-    nothing."""
+    in [10^16, 10^17]; and whether the value must fall back to %, where D
+    means nothing."""
     t = _tables()
     a = np.abs(v)
     fallback = ~((a >= _FAST_MIN) & (a <= _FAST_MAX))  # True for NaN, inf and zeros
     a[fallback] = 2.0  # a stand-in off the decade bounds
     # k - _K_MIN, the column of the k tables; truncation floors the positive sum
     at = (np.log10(a) - _K_MIN).astype(np.intp)
+    # floor(log10) is at most one decade off: threshold[at] <= a < threshold[at + 1]
+    at += a >= np.take(t.threshold, at + 1)
+    at -= a < np.take(t.threshold, at)
     s, r = _scaled(a, np.take(t.scale, at, axis=1))
-    edge = np.flatnonzero((s < 1e16) | (s >= 1e17) | ((s == 1e16) & (r < 0)))
-    if len(edge):
-        fallback[_settle_decades(edge, a, at, s, r, t.scale)] = True
     # s >= 10^16 > 2^53 is an integer; r, within 8 of 0, decides the rounding
     nearest = np.rint(r)
     fallback |= np.abs(r - nearest) > 0.5 - _TIE

@@ -6,7 +6,8 @@ the defaults in the help come from there. Every flag of a subcommand can
 also come from a JSON config file (--config FILE) whose keys are its long
 flag names with dashes as underscores; explicit flags override file values.
 Exit codes: 0 success, 2 configuration error, 3 numerical failure (non-finite
-values, or a target that is zero at every particle).
+values, a target that is zero at every particle, or a readout scale c N ||a||
+that is not a positive normal double).
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .harness import (
     NORM_MODES,
     ConfigError,
     ExperimentConfig,
+    ReadoutScaleError,
     all_finite,
     run_convergence_sweep,
     run_experiment,
@@ -157,7 +159,8 @@ def main(argv=None) -> int:
     except (ConfigError, DiscretisationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ZeroSamplesError as exc:  # e.g. the target underflows on the whole domain
+    # e.g. the target, or the readout scale c N ||a||, underflows to 0
+    except (ZeroSamplesError, ReadoutScaleError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

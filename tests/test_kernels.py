@@ -143,13 +143,15 @@ def test_never_exceeds_peak_constant(family, order, h, r):
 def test_evaluate_at_the_peak_the_support_edge_and_beyond(family, order):
     h = 0.3
     spec = KernelSpec(family, order, h)
-    # the peak, the Wendland support edge, beyond either support, negative r
-    r = np.array([[0.0, 2.0 * h, -2.0 * h, 0.1, -0.45],
-                  [2.5 * h, -2.5 * h, 9.0 * h, -9.0 * h, -100.0 * h]])
+    # the peak, the Wendland support edge, beyond either support, negative r,
+    # and offsets whose q^2 (and Wendland's (1 - q/2)^4) overflow
+    r = np.array([[0.0, 2.0 * h, -2.0 * h, 0.1, -0.45, 1e160 * h],
+                  [2.5 * h, -2.5 * h, 9.0 * h, -9.0 * h, -100.0 * h, -1e160 * h]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         values = evaluate(spec, r)
     assert values.shape == r.shape and values.dtype == np.float64
     assert np.all(np.abs(values) <= scaling_constant(spec))
+    assert np.all(values[:, -1] == 0.0)
     if family is WENDLAND:  # +0.0, not -0.0, outside the support
-        assert values[1].tobytes() == np.zeros(5).tobytes()
+        assert values[1].tobytes() == np.zeros(6).tobytes()

@@ -61,10 +61,9 @@ class ParticleDiscretisation:
         if positions.ndim != 1 or positions.shape != widths.shape or positions.size <= 2 * nb:
             raise DiscretisationError("positions/widths must cover interior plus boundary particles")
         # first, so that no comparison below meets a NaN or an infinity
-        if not (np.isfinite(positions).all() and np.isfinite(widths).all()):
+        if not np.isfinite(widths).all():
             raise DiscretisationError("positions and widths must be finite")
-        if not np.all(positions[1:] > positions[:-1]):
-            raise DiscretisationError("positions must be strictly increasing")
+        check_positions(positions)
         if not np.all(widths > 0.0):
             raise DiscretisationError("widths must be positive")
 
@@ -89,28 +88,49 @@ class ParticleDiscretisation:
         return self.widths[nb:self.total_count - nb]
 
 
-def uniform_discretise(domain: Domain, num_particles: int,
-                       n_boundary_each_end: int = 0) -> ParticleDiscretisation:
-    """Uniform partition of the domain with particles at subinterval centres.
+def check_positions(positions: np.ndarray) -> None:
+    """Raise DiscretisationError unless every position is finite and they
+    strictly increase (finiteness first, so no comparison meets a NaN)."""
+    if not np.isfinite(positions).all():
+        raise DiscretisationError("positions and widths must be finite")
+    if not np.all(positions[1:] > positions[:-1]):
+        raise DiscretisationError("positions must be strictly increasing")
 
-    Boundary particles continue the uniform grid outward: the j-th ghost
-    below a sits at a - (j + 1/2) dx, and symmetrically above b, each with
-    width dx = (b - a) / num_particles.
+
+def uniform_positions(domain: Domain, num_particles: int,
+                      n_boundary_each_end: int = 0) -> np.ndarray:
+    """Centres of a uniform partition of the domain and of its ghosts, checked.
+
+    With dx = (b - a) / num_particles, particle k (counting from -nb, the
+    first ghost below a) sits at a + (k + 1/2) dx, and the j-th ghost above
+    b at b + (j + 1/2) dx. The (k + 1/2) dx offsets keep the layout of a
+    dyadic domain bit-exactly mirror-symmetric, which the odd-kernel
+    cancellation tests rely on; a ghost below a comes out as
+    a + (-(j + 1/2) dx), which is a - (j + 1/2) dx exactly. The array is
+    built in place, with no temporary of its size.
     """
     if num_particles < 1:
         raise DiscretisationError("num_particles must be at least 1")
-
     n, nb = num_particles, n_boundary_each_end
+    if nb < 0:
+        raise DiscretisationError("n_boundary_each_end must be nonnegative")
     dx = domain.length / n
-    # Positions built from (k + 1/2) dx offsets: for dyadic domains this keeps
-    # the layout bit-exactly mirror-symmetric, which the odd-kernel
-    # cancellation tests rely on.
-    interior = domain.a + (np.arange(n) + 0.5) * dx
-    left = domain.a - (np.arange(nb)[::-1] + 0.5) * dx
-    right = domain.b + (np.arange(nb) + 0.5) * dx
-    positions = np.concatenate([left, interior, right])
-    widths = np.full(positions.size, dx)
-    return ParticleDiscretisation(positions, widths, nb)
+    positions = np.arange(-nb, n + nb, dtype=float)
+    positions += 0.5
+    positions *= dx
+    positions += domain.a
+    positions[nb + n:] = domain.b + (np.arange(nb) + 0.5) * dx
+    check_positions(positions)
+    return positions
+
+
+def uniform_discretise(domain: Domain, num_particles: int,
+                       n_boundary_each_end: int = 0) -> ParticleDiscretisation:
+    """Uniform partition of the domain with particles at subinterval centres
+    (``uniform_positions``), each with width dx = (b - a) / num_particles."""
+    positions = uniform_positions(domain, num_particles, n_boundary_each_end)
+    widths = np.full(positions.size, domain.length / num_particles)
+    return ParticleDiscretisation(positions, widths, n_boundary_each_end)
 
 
 def from_edges(edges, n_boundary_each_end: int = 0) -> ParticleDiscretisation:

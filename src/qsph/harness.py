@@ -27,7 +27,7 @@ from functools import partial
 import numpy as np
 
 from ._g17 import csv_lines
-from .discretization import Domain, sample_points, uniform_discretise
+from .discretization import Domain, sample_points, uniform_positions
 from .kernels import (
     DERIVATIVE_ORDERS,
     KernelFamily,
@@ -37,11 +37,11 @@ from .kernels import (
 )
 from .sph_encoding import (
     BOUNDARY_MODES,
-    FunctionSamples,
     coefficient_norm,
+    coefficient_peak,
     integral_norm_estimate,
+    kernel_sums,
     register_length,
-    sph_sums,
 )
 
 CSV_HEADER = ("x", "f_exact", "f_approx", "abs_error")
@@ -71,22 +71,27 @@ def target_function(x, order: int = 0):
 
     Scalar in, float out; ndarray in, ndarray out.
     """
+    if order not in DERIVATIVE_ORDERS:
+        raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
     xa = np.asarray(x, dtype=float)
     if order:
         # both derivatives are a signed 0 past |x| = 1e100 already; clamping
         # there keeps their numerators finite, so no inf / inf
         xa = np.clip(xa, -1e100, 1e100)
-    # products, not pow: array and scalar pow round differently in the last bit
-    x2 = xa * xa
-    den = 1.0 + 25.0 * x2
+    # products, not pow: array and scalar pow round differently in the last
+    # bit. den is built in place in one new array: on the run path x is every
+    # particle, and a temporary of that size costs more than the arithmetic
+    den = np.multiply(xa, xa, out=np.empty(xa.shape))
+    if order == 2:
+        num = 50.0 * (75.0 * den - 1.0)  # den holds x^2 until the next line
+    den *= 25.0
+    den += 1.0
     if order == 0:
-        out = 1.0 / den
+        out = np.divide(1.0, den, out=den)
     elif order == 1:
         out = -50.0 * xa / (den * den)
-    elif order == 2:
-        out = 50.0 * (75.0 * x2 - 1.0) / (den * den * den)
     else:
-        raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
+        out = num / (den * den * den)
     return float(out) if np.isscalar(x) else out
 
 
@@ -206,7 +211,7 @@ class ExperimentConfig:
             name = "smoothing_length" if self.boundary_particles is None else "boundary_particles"
             raise ConfigError(f"{name}: 2^{self.qubits} particles and {nb} ghosts per end "
                               f"fill more than {top} slots, twice the largest register")
-        # uniform_discretise computes each coordinate a + (j + 1/2) dx to within
+        # uniform_positions computes each coordinate a + (j + 1/2) dx to within
         # (2^m + 2 ghosts) ulp(dx) / 2, from the rounded dx, plus a few
         # ulp(reach), from the length, product and sum. Neighbours are dx apart,
         # so a dx above twice that keeps every position increasing.
@@ -253,6 +258,14 @@ def _freeze_columns(obj, names) -> None:
         object.__setattr__(obj, name, arr)
 
 
+# non-finite values give nan or inf errors, as Python floats do, silently
+@np.errstate(over="ignore", invalid="ignore")
+def _abs_error(f_exact: np.ndarray, f_approx: np.ndarray) -> np.ndarray:
+    """|f_exact - f_approx|, elementwise, in one new array."""
+    err = np.subtract(f_exact, f_approx)
+    return np.abs(err, out=err)
+
+
 @dataclass(frozen=True, eq=False)
 class Curve:
     """A run's result as columns: query points in ascending order, the exact
@@ -269,9 +282,7 @@ class Curve:
 
     def __post_init__(self) -> None:
         _freeze_columns(self, ("x", "f_exact", "f_approx"))
-        # non-finite values give nan or inf errors, as Python floats do, silently
-        with np.errstate(over="ignore", invalid="ignore"):
-            abs_error = np.abs(self.f_exact - self.f_approx)
+        abs_error = _abs_error(self.f_exact, self.f_approx)
         abs_error.flags.writeable = False
         object.__setattr__(self, "abs_error", abs_error)
 
@@ -302,45 +313,51 @@ def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
     return np.clip(np.ceil(theta * grid / np.pi - 0.5), 0, grid - 1)
 
 
-def _direct_sums(config: ExperimentConfig):
+def _direct_sums(config: ExperimentConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The sums every readout starts from, for the configured layout.
 
-    Returns the query points, S = sum_k a_k W_k at each of them (one
-    ``sph_sums`` pass), the exact ||a||, the norm the run uses (the exact
-    one or, with norm_mode "integral", its quadrature estimate) and c N.
+    Returns S = sum_k a_k W_k at each query point of xs (one ``kernel_sums``
+    pass) and the coefficients a_k = f(r_k) dx. These and the positions r_k
+    are the only arrays of the particle count, and both are built in place.
     """
-    disc = uniform_discretise(config.domain, config.num_particles,
-                              config.ghosts_per_end)
-    samples = FunctionSamples.from_function(disc, target_function,
-                                            boundary=config.boundary_values)
-    spec = config.kernel_spec
-    xs = sample_points(config.domain, config.eval_points)
-    exact_norm = coefficient_norm(disc, samples)
-    norm_a = exact_norm
-    if config.norm_mode == "integral":
-        norm_a = integral_norm_estimate(config.domain, target_function,
-                                        config.num_particles)
-    cn = scaling_constant(spec) * register_length(disc.total_count)
-    return xs, sph_sums(disc, samples, spec, xs), exact_norm, norm_a, cn
+    positions = uniform_positions(config.domain, config.num_particles,
+                                  config.ghosts_per_end)
+    coeff = target_function(positions)
+    if config.boundary_values == "zero":
+        nb = config.ghosts_per_end
+        coeff[:nb] = 0.0
+        coeff[coeff.size - nb:] = 0.0
+    coeff *= config.dx
+    return kernel_sums(positions, coeff, config.kernel_spec, xs), coeff
 
 
 def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
-             exact_norm: float, norm_a: float, cn: float) -> np.ndarray:
+             coeff: np.ndarray) -> np.ndarray:
     """The values an estimator reads out of the direct sums S = sums.
 
     rho = Re <a|W> = S / (c N ||a||), and norm_a is the ||a|| the readout
-    multiplies back (exact or estimated):
+    multiplies back: the exact ``coefficient_norm`` of coeff or, with
+    norm_mode "integral", its quadrature estimate.
 
-    * exact:   S norm_a / ||a||; with the exact norm the ratio is 1.0,
-               so the output is the direct sum S bit for bit.
+    * exact:   S norm_a / ||a||. With the exact norm the ratio is 1.0, so
+               the output is S itself, and ||a|| is not computed; only its
+               all-zero check runs.
     * sampled: c N norm_a (2 k / shots - 1), with k ~ Binomial(shots, p0)
                the counts of ``shot_counts`` at p0 = (1 + rho) / 2, drawn
                for all points from one Philox stream keyed by seed.
     * phase:   c N norm_a (2 sin^2(theta_k) - 1), with theta_k the
                quantized angle of ``phase_index``.
     """
+    if estimator == "exact" and config.norm_mode == "exact":
+        coefficient_peak(coeff)  # raises where ||a|| is 0, as coefficient_norm does
+        return sums
+    exact_norm = norm_a = coefficient_norm(coeff)
+    if config.norm_mode == "integral":
+        norm_a = integral_norm_estimate(config.domain, target_function,
+                                        config.num_particles)
     if estimator == "exact":
         return sums * (norm_a / exact_norm)
+    cn = scaling_constant(config.kernel_spec) * register_length(coeff.size)
     scale = cn * exact_norm
     if not sys.float_info.min <= scale < math.inf:
         raise ReadoutScaleError(f"the readout scale c N ||a|| = {scale!r} of the "
@@ -361,15 +378,17 @@ def run_experiment(config: ExperimentConfig) -> Curve:
 
     Every readout is a closed form (see ``_readout``) in the direct sum
     S = sum_k a_k W_k at each point, computed for all points at once by
-    ``sph_sums``, and in rho = Re <a|W> = S / (c N ||a||). ``|a>`` does not
-    depend on x, so its norm is computed once. The exact values come from
-    one array call of ``target_function``; no per-point object is built.
-    The results equal what the dense registers of ``registers.encode`` and
-    the ``swap_test`` estimators give, up to rounding; the tests check that
-    they do. Neither module is imported here.
+    ``kernel_sums``, and in rho = Re <a|W> = S / (c N ||a||). ``|a>`` does
+    not depend on x, so its norm is computed once, and only for a readout
+    that uses it. The exact values come from one array call of
+    ``target_function``; no per-point object is built. The results equal
+    what the dense registers of ``registers.encode`` and the ``swap_test``
+    estimators give, up to rounding; the tests check that they do. Neither
+    module is imported here.
     """
-    xs, sums, exact_norm, norm_a, cn = _direct_sums(config)
-    approx = _readout(config.estimator, config, sums, exact_norm, norm_a, cn)
+    xs = sample_points(config.domain, config.eval_points)
+    sums, coeff = _direct_sums(config, xs)
+    approx = _readout(config.estimator, config, sums, coeff)
     return Curve(xs, target_function(xs, config.derivative_order), approx)
 
 
@@ -378,18 +397,18 @@ def all_finite(curve: Curve) -> bool:
     return bool(np.isfinite(curve.f_exact).all() and np.isfinite(curve.f_approx).all())
 
 
+@np.errstate(over="ignore")  # a square beyond the doubles is inf
 def _rms(values: np.ndarray) -> float:
-    """sqrt(mean of squares) of a nonempty 1-D array.
+    """sqrt(mean of squares) of a nonempty 1-D float array.
 
-    Squares with Python ``**``, one value at a time: libm pow(v, 2) and
-    v * v differ in the last bit for some doubles, and the sweep CSV keeps
-    the values pow gives. A square or a sum of squares beyond the largest
-    double makes the RMS inf, as a non-finite value does.
+    Squares by the product v * v in one array pass, which IEEE arithmetic
+    rounds the same on every host, and sums the squares exactly rounded with
+    ``math.fsum``. A square or a sum of squares beyond the largest double
+    makes the RMS inf, as a non-finite value does.
     """
-    values = values.tolist()
     try:
-        return math.sqrt(math.fsum(v ** 2 for v in values) / len(values))
-    except OverflowError:
+        return math.sqrt(math.fsum((values * values).tolist()) / values.size)
+    except OverflowError:  # fsum's partial sums overflowed
         return math.inf
 
 
@@ -414,7 +433,11 @@ def run_convergence_sweep(base: ExperimentConfig,
     """RMS error per register size m, re-deriving h for each m.
 
     An explicit smoothing_length in the base config is kept fixed across
-    the sweep instead. Every m's config is checked before any m runs.
+    the sweep instead. Every m's config is checked before any m runs. Each
+    entry is what ``rms_error(run_experiment(...))`` gives for that m, bit
+    for bit, without the ``Curve``: the query points and the exact values
+    do not depend on m, so they are computed once, and each m computes only
+    its sums, its readout and the RMS.
     """
     ms = list(m_values)
     if not ms:
@@ -422,7 +445,14 @@ def run_convergence_sweep(base: ExperimentConfig,
     if ms != sorted(set(ms)):
         raise ValueError("m_values must be strictly ascending")
     configs = [replace(base, qubits=m) for m in ms]
-    return [(c.qubits, rms_error(run_experiment(c))) for c in configs]
+    xs = sample_points(base.domain, base.eval_points)
+    exact = target_function(xs, base.derivative_order)
+    entries = []
+    for c in configs:
+        sums, coeff = _direct_sums(c, xs)
+        approx = _readout(c.estimator, c, sums, coeff)
+        entries.append((c.qubits, _rms(_abs_error(exact, approx))))
+    return entries
 
 
 def _fmt(v: float) -> str:
@@ -542,15 +572,16 @@ def decompose_error(config: ExperimentConfig) -> ErrorDecomposition:
     configured norm and the configured estimator from them, differencing
     each stage against the previous one.
     """
-    xs, sums, exact_norm, norm_a, cn = _direct_sums(config)
+    xs = sample_points(config.domain, config.eval_points)
+    sums, coeff = _direct_sums(config, xs)
     truth = target_function(xs, config.derivative_order)
-    base = _readout("exact", config, sums, exact_norm, exact_norm, cn)
-    norm_vals = _readout("exact", config, sums, exact_norm, norm_a, cn)
+    base = sums  # the exact readout with the exact norm is S itself
+    norm_vals = _readout("exact", config, sums, coeff)
     zeros = np.zeros_like(base)
     shot_delta = zeros
     quant_delta = zeros
     if config.estimator != "exact":
-        final = _readout(config.estimator, config, sums, exact_norm, norm_a, cn)
+        final = _readout(config.estimator, config, sums, coeff)
         if config.estimator == "sampled":
             shot_delta = final - norm_vals
         else:

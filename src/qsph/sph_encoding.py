@@ -5,8 +5,10 @@ The classical approximation at a query point r is
     f(r) ~= sum_k f_k dx_k W(r - r_k, h)
 
 over particles k with values f_k, widths dx_k and positions r_k.
-``sph_sums`` computes it for a batch of query points, each over the
-particles inside the kernel support.
+``kernel_sums``, the one summation loop, computes it for a batch of query
+points, each over the particles inside the kernel support, from the
+positions and the coefficients a_k = f_k dx_k; ``sph_sums`` forms those
+from a ``ParticleDiscretisation`` and its ``FunctionSamples``.
 
 The register encoding packs a = [f_k dx_k] and the kernel samples W_k into
 unit states |a> and |W> (built densely in ``qsph.registers``), with
@@ -84,16 +86,22 @@ def register_length(count: int) -> int:
     return 1 << (count - 1).bit_length()
 
 
-def coefficient_norm(disc: ParticleDiscretisation, samples: FunctionSamples) -> float:
-    """Exact ||a|| for a = [f_k dx_k], without building |a>: the real norm of
-    the coefficients scaled by an exact power of two near the largest, so
-    tiny ones neither underflow nor lose bits when squared."""
-    coeff = samples.values * disc.widths
-    scale = float(np.max(np.abs(coeff)))
-    if scale == 0.0:
+def coefficient_peak(coeff: np.ndarray) -> float:
+    """max |a_k| of the coefficients a = [f_k dx_k]; raises ZeroSamplesError
+    when it is 0, since |a> = a / ||a|| does not exist then. Two reductions,
+    so no |a| array is formed."""
+    peak = float(max(coeff.max(), -coeff.min()))
+    if peak == 0.0:
         raise ZeroSamplesError(f"all-zero samples cannot be encoded as a state: "
                                f"f_k dx_k is 0 at all {coeff.size} particles")
-    exponent = math.frexp(scale)[1]
+    return peak
+
+
+def coefficient_norm(coeff: np.ndarray) -> float:
+    """Exact ||a|| of the coefficients a = [f_k dx_k], without building |a>:
+    the real norm of the coefficients scaled by an exact power of two near
+    the largest, so tiny ones neither underflow nor lose bits when squared."""
+    exponent = math.frexp(coefficient_peak(coeff))[1]
     return math.ldexp(float(np.linalg.norm(np.ldexp(coeff, -exponent))), exponent)
 
 
@@ -137,11 +145,12 @@ def check_closure(peak: float, c: float, register_len: int) -> None:
                          f"for c = {c!r}, N = {n}")
 
 
-def support_window(disc: ParticleDiscretisation, spec: KernelSpec) -> int:
+def support_window(positions: np.ndarray, spec: KernelSpec) -> int:
     """Most particles inside any closed interval of length 2 support_radius.
 
-    Depends only on the layout and the kernel, so every query point sums
-    over the same number of particles whatever batch it comes in.
+    Depends only on the layout's (ascending) positions and the kernel, so
+    every query point sums over the same number of particles whatever batch
+    it comes in.
 
     With top = positions + 2 support_radius, the width W is the largest w
     for which some run of w particles fits, (pos[w-1:] <= top[:n-w+1]).any().
@@ -149,7 +158,7 @@ def support_window(disc: ParticleDiscretisation, spec: KernelSpec) -> int:
     first particle's count, a lower bound, then bisecting: O(n log W) on any
     sorted layout, and the same integer as max_i(#{pos <= top[i]} - i).
     """
-    pos = disc.positions
+    pos = positions
     n = pos.size
     top = pos + 2.0 * spec.support_radius
 
@@ -171,20 +180,44 @@ def support_window(disc: ParticleDiscretisation, spec: KernelSpec) -> int:
     return lo
 
 
+def kernel_sums(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
+                xs: np.ndarray) -> np.ndarray:
+    """Direct sums sum_k a_k W(x - r_k, h) at each query point x of xs.
+
+    ``positions`` are the ascending, checked particle positions r_k and
+    ``coeff`` the coefficients a_k = f_k dx_k, one per particle; xs is a
+    1-D float array. Each point sums over a contiguous window of
+    ``support_window`` particles starting at the first one no further than
+    support_radius below it (shifted left where the layout ends). The window
+    holds every particle within support_radius; the rest carry exact zeros
+    (Wendland) or less than exp(-64) of the peak (Gaussian). Points go in
+    blocks of at most ``BLOCK_VALUES`` kernel values, each block a few array
+    expressions whose temporaries are freed before the next block. The
+    kernel values must pass the closure check of |W> (``check_closure``)
+    for the smallest register that holds the particles, N =
+    register_length(positions.size), the strictest N.
+    """
+    width = support_window(positions, spec)
+    starts = np.searchsorted(positions, xs - spec.support_radius, side="left")
+    starts = np.minimum(starts, positions.size - width)
+    window = np.arange(width)
+    c = scaling_constant(spec)
+    n = register_length(positions.size)
+    sums = np.empty(xs.size)
+    step = max(1, BLOCK_VALUES // width)
+    for lo in range(0, xs.size, step):
+        idx = starts[lo:lo + step, None] + window
+        kernel = evaluate(spec, xs[lo:lo + step, None] - positions[idx])
+        check_closure(np.max(np.abs(kernel)), c, n)
+        sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
+    return sums
+
+
 def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: KernelSpec,
              eval_points) -> np.ndarray:
-    """Direct sums sum_k f_k dx_k W(x - r_k, h) for a 1-D array of query points.
-
-    Each point sums over a contiguous window of ``support_window`` particles
-    starting at the first one no further than support_radius below it
-    (shifted left where the layout ends). The window holds every particle
-    within support_radius; the rest carry exact zeros (Wendland) or less
-    than exp(-64) of the peak (Gaussian). Points go in blocks of at most
-    ``BLOCK_VALUES`` kernel values, each block a few array expressions
-    whose temporaries are freed before the next block. The kernel values
-    must pass the closure check of |W> (``check_closure``) for the smallest
-    register that holds the particles, N = register_length(total_count),
-    the strictest N.
+    """Direct sums sum_k f_k dx_k W(x - r_k, h) over a layout, for a 1-D
+    array of query points: ``kernel_sums`` of the layout's positions and
+    a_k = f_k dx_k, for any layout, ``from_edges`` ones included.
     """
     values = samples.values
     if values.size != disc.total_count:
@@ -192,19 +225,4 @@ def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: Kerne
     xs = np.asarray(eval_points, dtype=float)
     if xs.ndim != 1:
         raise ValueError("query points must form a 1-D array")
-    pos = disc.positions
-    coeff = values * disc.widths
-    width = support_window(disc, spec)
-    starts = np.searchsorted(pos, xs - spec.support_radius, side="left")
-    starts = np.minimum(starts, pos.size - width)
-    window = np.arange(width)
-    c = scaling_constant(spec)
-    n = register_length(disc.total_count)
-    sums = np.empty(xs.size)
-    step = max(1, BLOCK_VALUES // width)
-    for lo in range(0, xs.size, step):
-        idx = starts[lo:lo + step, None] + window
-        kernel = evaluate(spec, xs[lo:lo + step, None] - pos[idx])
-        check_closure(np.max(np.abs(kernel)), c, n)
-        sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
-    return sums
+    return kernel_sums(disc.positions, values * disc.widths, spec, xs)

@@ -4,6 +4,7 @@ import csv
 import io
 import math
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -29,8 +30,14 @@ from qsph.harness import (
     write_rows_path,
     write_sweep_path,
 )
-from qsph.kernels import KernelFamily, KernelSpec
-from qsph.sph_encoding import FunctionSamples, sph_sums
+from qsph.kernels import KernelFamily, KernelSpec, scaling_constant
+from qsph.sph_encoding import (
+    FunctionSamples,
+    coefficient_norm,
+    integral_norm_estimate,
+    register_length,
+    sph_sums,
+)
 
 # Frozen by direct summation with explicit kernel formulas (no package code
 # paths): 2^8 interior particles on [-1, 1], 4 ghosts each end, h = 4 / 2^8.
@@ -201,9 +208,9 @@ def test_cells_of_32_ulps_are_accepted(kernel):
 
 def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
     # [1, 1 + 1e-12] has distinct particles up to m = 9 or so; m = 16 has none
-    def must_not_run(config):
+    def must_not_run(config, xs):
         raise AssertionError(f"ran m = {config.qubits}")
-    monkeypatch.setattr(harness, "run_experiment", must_not_run)
+    monkeypatch.setattr(harness, "_direct_sums", must_not_run)
     base = ExperimentConfig(domain=(1.0, 1.000000000001))
     with pytest.raises(ConfigError, match="domain: .* too short for 2"):
         run_convergence_sweep(base, range(4, 17))
@@ -268,22 +275,29 @@ def test_rms_error_matches_quadratic_mean(errors):
     assert rms_error(curve) == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
-def test_rms_error_squares_with_pow_bit_for_bit():
-    """The sweep RMS squares each error with Python ** (libm pow), not v * v."""
+def test_rms_error_squares_by_product_bit_for_bit():
+    """The RMS squares each error as v * v, which IEEE arithmetic rounds
+    correctly on every host, not with Python ** (libm pow(v, 2)), which need
+    not be correctly rounded."""
     drawn = np.random.default_rng(0).uniform(0.0, 1.0, 200_000).tolist()
-    e = [v for v in drawn if v ** 2 != v * v]
-    if not e:
-        pytest.skip("libm pow(v, 2) rounds like v * v for every drawn value")
+    # the values whose pow(v, 2) on this host is not the rounded exact square
+    by_pow = [v for v in drawn if v ** 2 != v * v]
+    e = by_pow or drawn[:2000]
 
     def rms(values, square):
         return math.sqrt(math.fsum(square(v) for v in values) / len(values))
 
+    def exact_square(v):
+        return float(Fraction(v) ** 2)
+
     pairs = [e[k:k + 2] for k in range(0, len(e) - 1, 2)]
     for values in pairs + [e]:
         curve = Curve(np.zeros(len(values)), values, np.zeros(len(values)))
-        assert rms_error(curve) == rms(values, lambda v: v ** 2)
-    # the check has teeth: squaring by product would change some results
-    assert any(rms(p, lambda v: v ** 2) != rms(p, lambda v: v * v) for p in pairs)
+        assert rms_error(curve) == rms(values, exact_square)
+    # where this host's pow rounds otherwise, the check has teeth: squaring
+    # with pow would change some results
+    if by_pow:
+        assert any(rms(p, lambda v: v ** 2) != rms(p, exact_square) for p in pairs)
 
 
 def test_exact_run_matches_direct_summation_bitwise():
@@ -374,7 +388,7 @@ def test_sweep_rejects_bad_m_sequences():
 
 def test_sweep_checks_every_m_before_running_any(monkeypatch):
     runs = []
-    monkeypatch.setattr(harness, "run_experiment", runs.append)
+    monkeypatch.setattr(harness, "_direct_sums", lambda config, xs: runs.append(config))
     with pytest.raises(ConfigError, match="qubits"):
         run_convergence_sweep(ExperimentConfig(eval_points=5), m_values=[4, 17])
     assert runs == []
@@ -614,9 +628,15 @@ def test_phase_readout_keeps_its_bound_at_the_pe_qubits_cap():
                     cfg = ExperimentConfig(kernel=kernel, derivative_order=order, qubits=m,
                                            norm_mode=norm_mode, estimator="phase",
                                            pe_qubits=n)
-                    xs, sums, exact_norm, norm_a, cn = harness._direct_sums(cfg)
-                    exact = harness._readout("exact", cfg, sums, exact_norm, norm_a, cn)
-                    phase = harness._readout("phase", cfg, sums, exact_norm, norm_a, cn)
+                    xs = sample_points(cfg.domain, cfg.eval_points)
+                    sums, coeff = harness._direct_sums(cfg, xs)
+                    exact = harness._readout("exact", cfg, sums, coeff)
+                    phase = harness._readout("phase", cfg, sums, coeff)
+                    norm_a = coefficient_norm(coeff)
+                    if norm_mode == "integral":
+                        norm_a = integral_norm_estimate(cfg.domain, target_function,
+                                                        cfg.num_particles)
+                    cn = scaling_constant(cfg.kernel_spec) * register_length(coeff.size)
                     bound = cn * norm_a * 2.0 * math.sin(math.pi / 2 ** (n + 1))
                     worst = max(worst, float(np.max(np.abs(phase - exact))) / bound)
     assert worst <= 1.0 + 1e-3

@@ -235,20 +235,21 @@ def test_support_window_counts_particles_in_the_support():
     for m in (6, 10):
         disc = uniform_discretise(Domain(-1.0, 1.0), 2 ** m, n_boundary_each_end=4)
         h = 4.0 / 2 ** m
-        assert support_window(disc, KernelSpec(WENDLAND, 0, h)) == 9
-        assert support_window(disc, KernelSpec(GAUSSIAN, 2, h)) == 33
+        assert support_window(disc.positions, KernelSpec(WENDLAND, 0, h)) == 9
+        assert support_window(disc.positions, KernelSpec(GAUSSIAN, 2, h)) == 33
     # a support wider than the layout takes every particle
     disc = uniform_discretise(Domain(-1.0, 1.0), 8)
-    assert support_window(disc, KernelSpec(GAUSSIAN, 0, 1.0)) == 8
+    assert support_window(disc.positions, KernelSpec(GAUSSIAN, 0, 1.0)) == 8
 
 
 def test_all_zero_samples_raise_a_named_value_error():
     disc = uniform_discretise(Domain(0.0, 1.0), 4)
     zeros = FunctionSamples(np.zeros(4))
     assert issubclass(ZeroSamplesError, ValueError)
-    for norm_of in (coefficient_norm, build_a):
-        with pytest.raises(ZeroSamplesError, match="0 at all 4 particles"):
-            norm_of(disc, zeros)
+    with pytest.raises(ZeroSamplesError, match="0 at all 4 particles"):
+        coefficient_norm(zeros.values * disc.widths)
+    with pytest.raises(ZeroSamplesError, match="0 at all 4 particles"):
+        build_a(disc, zeros)
 
 
 def _window_by_search(disc, spec):
@@ -281,7 +282,7 @@ def test_support_window_matches_the_search_on_uniform_layouts(m, family, order, 
     spec = KernelSpec(family, order, h)
     nb = math.ceil(spec.support_radius / dx) + 1 if ghosts is None else ghosts
     disc = uniform_discretise(domain, 2 ** m, n_boundary_each_end=nb)
-    assert support_window(disc, spec) == _window_by_search(disc, spec)
+    assert support_window(disc.positions, spec) == _window_by_search(disc, spec)
 
 
 def _clustered_edges(left, cluster, eps, right):
@@ -298,7 +299,7 @@ def test_support_window_matches_the_search_on_clustered_layouts(left, cluster, e
                                                                  nb, family, h):
     disc = from_edges(_clustered_edges(left, cluster, eps, right), n_boundary_each_end=nb)
     spec = KernelSpec(family, 0, h)
-    assert support_window(disc, spec) == _window_by_search(disc, spec)
+    assert support_window(disc.positions, spec) == _window_by_search(disc, spec)
 
 
 def test_support_window_finds_a_cluster_far_from_the_first_particle():
@@ -308,7 +309,7 @@ def test_support_window_finds_a_cluster_far_from_the_first_particle():
     spec = KernelSpec(GAUSSIAN, 0, 0.05)
     pos = disc.positions
     assert np.searchsorted(pos, pos[0] + 2.0 * spec.support_radius, side="right") == 1
-    assert support_window(disc, spec) == _window_by_search(disc, spec) == 801
+    assert support_window(disc.positions, spec) == _window_by_search(disc, spec) == 801
 
 
 def test_sph_sums_match_the_full_direct_sum():
@@ -335,7 +336,7 @@ def test_sph_sums_do_not_depend_on_the_block_size(monkeypatch):
             whole = sph_sums(disc, samples, spec, xs)
             # blocks of three rows: the last block holds the 301st point alone
             monkeypatch.setattr(qsph.sph_encoding, "BLOCK_VALUES",
-                                3 * support_window(disc, spec) + 2)
+                                3 * support_window(disc.positions, spec) + 2)
             blocked = sph_sums(disc, samples, spec, xs)
             monkeypatch.undo()
             np.testing.assert_array_equal(blocked, whole)

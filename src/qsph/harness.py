@@ -60,7 +60,7 @@ class ReadoutScaleError(ValueError):
     positive normal double, so rho = S / (c N ||a||) cannot be formed."""
 
 
-# far out, den and its powers overflow to inf and the quotients fall to 0
+# far out, x^2 and den overflow to inf and 1 / den falls to 0
 @np.errstate(over="ignore")
 def target_function(x, order: int = 0):
     """f(x) = 1/(1 + 25 x^2) and its first two derivatives.
@@ -75,9 +75,9 @@ def target_function(x, order: int = 0):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
     xa = np.asarray(x, dtype=float)
     if order:
-        # both derivatives are a signed 0 past |x| = 1e100 already; clamping
-        # there keeps their numerators finite, so no inf / inf
-        xa = np.clip(xa, -1e100, 1e100)
+        # both derivatives are below the smallest subnormal, a signed 0, past
+        # |x| = 1e150 already; clamping there keeps 75 x^2 and den finite
+        xa = np.clip(xa, -1e150, 1e150)
     # products, not pow: array and scalar pow round differently in the last
     # bit. den is built in place in one new array: on the run path x is every
     # particle, and a temporary of that size costs more than the arithmetic
@@ -86,12 +86,14 @@ def target_function(x, order: int = 0):
         num = 50.0 * (75.0 * den - 1.0)  # den holds x^2 until the next line
     den *= 25.0
     den += 1.0
+    # the derivatives divide by den once per power: a power of den would
+    # overflow, and the quotient fall to 0, where the true value is normal
     if order == 0:
         out = np.divide(1.0, den, out=den)
     elif order == 1:
-        out = -50.0 * xa / (den * den)
+        out = -50.0 * xa / den / den
     else:
-        out = num / (den * den * den)
+        out = num / den / den / den
     return float(out) if np.isscalar(x) else out
 
 

@@ -78,6 +78,32 @@ def test_target_function_derivatives_match_finite_differences():
         assert target_function(x, order=2) == pytest.approx(fd2, rel=1e-3)
 
 
+def _exact_derivative(x: float, order: int) -> float:
+    """f' or f'' at x in exact rational arithmetic, rounded once."""
+    x = Fraction(x)
+    den = 1 + 25 * x * x
+    if order == 1:
+        return float(-50 * x / den ** 2)
+    return float(50 * (75 * x * x - 1) / den ** 3)
+
+
+def test_target_function_derivatives_stay_accurate_far_out():
+    """Within 4 ulps of the exact value wherever |x| >= 1, up to the largest
+    double: no power of 1 + 25 x^2 overflows into an early 0, and no
+    RuntimeWarning is raised (pytest makes one an error)."""
+    assert target_function(1e60, order=2) == pytest.approx(2.4e-241, rel=1e-15)
+    assert target_function(1e80, order=1) == _exact_derivative(1e80, 1) == -8e-242
+    xs = [s * m * 10.0 ** e for e in range(309) for m in (1.0, 2.7, 7.3, 1.5)
+          for s in (1.0, -1.0) if m * 10.0 ** e < 1.7e308]
+    xs += [1.7976931348623157e308, -1.7976931348623157e308]
+    for order in (1, 2):
+        got = target_function(np.array(xs), order=order).tolist()
+        for x, g in zip(xs, got):
+            want = _exact_derivative(x, order)
+            assert abs(g - want) <= 4 * math.ulp(want), (order, x, g, want)
+    assert target_function(math.inf, order=1) == -target_function(-math.inf, order=1) == 0.0
+
+
 def test_target_function_rejects_higher_orders():
     with pytest.raises(ValueError):
         target_function(0.1, order=3)

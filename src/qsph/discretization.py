@@ -62,7 +62,7 @@ class ParticleDiscretisation:
             raise DiscretisationError("positions/widths must cover interior plus boundary particles")
         # first, so that no comparison below meets a NaN or an infinity
         if not np.isfinite(widths).all():
-            raise DiscretisationError("positions and widths must be finite")
+            raise DiscretisationError("widths must be finite")
         check_positions(positions)
         if not np.all(widths > 0.0):
             raise DiscretisationError("widths must be positive")
@@ -92,7 +92,7 @@ def check_positions(positions: np.ndarray) -> None:
     """Raise DiscretisationError unless every position is finite and they
     strictly increase (finiteness first, so no comparison meets a NaN)."""
     if not np.isfinite(positions).all():
-        raise DiscretisationError("positions and widths must be finite")
+        raise DiscretisationError("positions must be finite")
     if not np.all(positions[1:] > positions[:-1]):
         raise DiscretisationError("positions must be strictly increasing")
 

@@ -239,6 +239,23 @@ def test_sweep_whose_squared_errors_overflow_exits_3(capsys, order, h):
     assert "non-finite RMS" in err
 
 
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["run", "--qubits", "8"], "run_wendland_o0_m8_p33.csv"),
+    (["sweep", "--m-min", "2", "--m-max", "10"], "sweep_wendland_o0_m2-10_p33.csv"),
+])
+def test_wendland_exact_outputs_keep_their_golden_bytes(tmp_path, argv, name):
+    """Byte for byte the CSVs committed in tests/golden. Wendland order 0 with
+    the exact readout uses no exp or log10, so its bytes do not depend on
+    numpy's CPU dispatch; a change to them is a change to the CSV contract."""
+    out = tmp_path / name
+    assert cli.main([*argv, "--kernel", "wendland", "--order", "0", "--points", "33",
+                     "--out", str(out)]) == 0
+    assert out.read_bytes() == (GOLDEN / name).read_bytes()
+
+
 def test_parser_is_built_once():
     assert cli.build_parser() is cli.build_parser()
 

@@ -11,6 +11,7 @@ from qsph.discretization import (
     from_edges,
     sample_points,
     uniform_discretise,
+    uniform_positions,
 )
 
 
@@ -229,3 +230,20 @@ def test_uniform_layout_on_a_domain_far_left_of_zero(a, m):
     disc = uniform_discretise(Domain(a, 1.0), 2 ** m, n_boundary_each_end=3)
     assert disc.num_interior == 2 ** m
     assert np.all(np.diff(disc.positions) > 0)
+
+
+def test_uniform_positions_equal_the_concatenated_build():
+    """The in-place build gives the bits of the three-part expression:
+    a - (j + 1/2) dx below a, a + (k + 1/2) dx inside, b + (j + 1/2) dx above b."""
+    for a, b in ((-1.0, 1.0), (0.0, 3.0), (-1e5, 1e-3)):
+        domain = Domain(a, b)
+        for m in range(2, 17):
+            n = 2 ** m
+            dx = domain.length / n
+            for nb in range(21):
+                left = a - (np.arange(nb)[::-1] + 0.5) * dx
+                interior = a + (np.arange(n) + 0.5) * dx
+                right = b + (np.arange(nb) + 0.5) * dx
+                want = np.concatenate([left, interior, right])
+                got = uniform_positions(domain, n, nb)
+                assert got.tobytes() == want.tobytes(), (a, b, m, nb)

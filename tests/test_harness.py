@@ -405,6 +405,21 @@ def test_gaussian_sweep_falls_3x_per_qubit_with_derived_ghosts():
         assert (rms[0] / rms[-1]) ** (1.0 / (len(ms) - 1)) >= 3.0, (order, rms)
 
 
+@pytest.mark.parametrize("kernel", list(KernelFamily))
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("estimator", harness.ESTIMATORS)
+def test_sweep_equals_the_rms_of_each_run_bit_for_bit(kernel, order, estimator):
+    """The sweep's own per-m loop gives what rms_error(run_experiment) gives."""
+    ms = range(2, 9)
+    for norm_mode in harness.NORM_MODES:
+        for boundary in ("analytic", "zero"):
+            base = ExperimentConfig(kernel=kernel, derivative_order=order, eval_points=33,
+                                    norm_mode=norm_mode, estimator=estimator,
+                                    boundary_values=boundary, shots=1000, seed=5)
+            want = [(m, rms_error(run_experiment(replace(base, qubits=m)))) for m in ms]
+            assert run_convergence_sweep(base, ms) == want
+
+
 def test_sweep_rejects_bad_m_sequences():
     base = ExperimentConfig(eval_points=5)
     for bad in ([], [5, 4], [4, 4]):

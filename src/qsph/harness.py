@@ -415,7 +415,8 @@ def _rms(values: np.ndarray) -> float:
 
 
 def rms_error(curve: Curve) -> float:
-    """sqrt(mean of squared errors) over the query points (``_rms``)."""
+    """sqrt(mean of squared errors) over the query points, each error
+    squared as v * v and the squares summed exactly rounded (``_rms``)."""
     if not len(curve):
         raise ValueError("rms_error needs at least one point")
     return _rms(curve.abs_error)

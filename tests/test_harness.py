@@ -420,6 +420,20 @@ def test_sweep_equals_the_rms_of_each_run_bit_for_bit(kernel, order, estimator):
             assert run_convergence_sweep(base, ms) == want
 
 
+def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
+    """||a|| / ||a|| = 1, so the run and the sweep skip coefficient_norm; the
+    all-zero check still runs (test_all_zero_target_exits_3)."""
+    def must_not_run(coeff):
+        raise AssertionError("coefficient_norm called")
+    monkeypatch.setattr(harness, "coefficient_norm", must_not_run)
+    for kernel in KernelFamily:
+        base = ExperimentConfig(kernel=kernel, qubits=6, eval_points=9)
+        run_experiment(base)
+        run_convergence_sweep(base, m_values=(4, 5))
+    with pytest.raises(AssertionError, match="coefficient_norm called"):
+        run_experiment(replace(base, norm_mode="integral"))
+
+
 def test_sweep_rejects_bad_m_sequences():
     base = ExperimentConfig(eval_points=5)
     for bad in ([], [5, 4], [4, 4]):

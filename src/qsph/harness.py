@@ -112,7 +112,10 @@ _INTEGER_RANGES = {
 
 
 def _integer(name: str, value, lo: int, hi: int | float) -> int:
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+    # an exact int skips the numbers.Integral check, an ABC lookup that costs
+    # more than the rest of the config; bool is a subclass of int, not an int
+    if type(value) is not int and (isinstance(value, bool)
+                                   or not isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
     if not lo <= value <= hi:
         raise ConfigError(f"{name}: must be in [{lo}, {hi}], got {value}")
@@ -152,6 +155,11 @@ class ExperimentConfig:
     ghosts together must fit twice the largest register, 2^17, and dx must
     exceed the rounding of the particle coordinates (about 8 ulps of the
     farthest one), so every particle is distinct.
+
+    The layout those checks derive is kept, not recomputed on access:
+    num_particles = 2^qubits, dx, h, kernel_spec and ghosts_per_end are
+    attributes set once by validation, not arguments, and not part of the
+    config's repr, == or hash.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
@@ -167,6 +175,12 @@ class ExperimentConfig:
     seed: int = 0
     pe_qubits: int = 8
     boundary_values: str = "analytic"
+    # derived by __post_init__, which replace() reruns
+    num_particles: int = field(init=False, repr=False, compare=False)
+    dx: float = field(init=False, repr=False, compare=False)
+    h: float = field(init=False, repr=False, compare=False)
+    kernel_spec: KernelSpec = field(init=False, repr=False, compare=False)
+    ghosts_per_end: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         setfield = partial(object.__setattr__, self)
@@ -193,23 +207,28 @@ class ExperimentConfig:
             if getattr(self, name) not in allowed:
                 raise ConfigError(
                     f"{name}: must be one of {allowed}, got {getattr(self, name)!r}")
-        dx, (a, b) = self.dx, (self.domain.a, self.domain.b)
+        n = 2 ** self.qubits
+        dx, (a, b) = self.domain.length / n, (self.domain.a, self.domain.b)
         if not 0.0 < dx < math.inf:
             raise ConfigError(f"domain: [{a!r}, {b!r}] gives 2^{self.qubits} particles "
                               f"the spacing dx = {dx!r}")
-        if not math.isfinite(self.kernel_spec.support_radius / dx):
-            raise ConfigError(f"smoothing_length: h = {self.h!r} must span a finite number of "
+        h = 2.0 * dx if self.smoothing_length is None else self.smoothing_length
+        spec = KernelSpec(self.kernel, self.derivative_order, h)
+        if not math.isfinite(spec.support_radius / dx):
+            raise ConfigError(f"smoothing_length: h = {h!r} must span a finite number of "
                               f"particle spacings, got dx = {dx!r} on the domain")
-        if not divides_by_normal_powers(self.kernel_spec):
+        if not divides_by_normal_powers(spec):
             name = "smoothing_length" if self.smoothing_length is not None else "domain"
-            raise ConfigError(f"{name}: h = {self.h!r} does not suit the {self.kernel.value} "
+            raise ConfigError(f"{name}: h = {h!r} does not suit the {self.kernel.value} "
                               f"kernel of order {self.derivative_order}: a power of h that it "
                               f"divides by is 0, subnormal or beyond the doubles")
+        nb = self.boundary_particles
+        if nb is None:
+            nb = math.ceil(spec.support_radius / dx) + 1
         # twice the largest register: any more particles and the layout, not
         # the 2^m grid, sets the run's size (h = 1e6 on [-1, 1] asks for 2e9)
-        nb = self.ghosts_per_end
         top = 2 ** (_INTEGER_RANGES["qubits"][1] + 1)
-        if register_length(self.num_particles + 2 * nb) > top:
+        if register_length(n + 2 * nb) > top:
             name = "smoothing_length" if self.boundary_particles is None else "boundary_particles"
             raise ConfigError(f"{name}: 2^{self.qubits} particles and {nb} ghosts per end "
                               f"fill more than {top} slots, twice the largest register")
@@ -218,34 +237,12 @@ class ExperimentConfig:
         # ulp(reach), from the length, product and sum. Neighbours are dx apart,
         # so a dx above twice that keeps every position increasing.
         reach = max(abs(a), abs(b)) + (nb + 1) * dx
-        if not dx > (self.num_particles + 2 * nb) * math.ulp(dx) + 8 * math.ulp(reach):
+        if not dx > (n + 2 * nb) * math.ulp(dx) + 8 * math.ulp(reach):
             raise ConfigError(f"domain: [{a!r}, {b!r}] is too short for 2^{self.qubits} "
                               f"distinct particle positions, dx = {dx!r}")
-
-    @property
-    def num_particles(self) -> int:
-        return 2 ** self.qubits
-
-    @property
-    def dx(self) -> float:
-        """The particle spacing, domain length / 2^qubits."""
-        return self.domain.length / self.num_particles
-
-    @property
-    def h(self) -> float:
-        if self.smoothing_length is not None:
-            return self.smoothing_length
-        return 2.0 * self.dx
-
-    @property
-    def kernel_spec(self) -> KernelSpec:
-        return KernelSpec(self.kernel, self.derivative_order, self.h)
-
-    @property
-    def ghosts_per_end(self) -> int:
-        if self.boundary_particles is not None:
-            return self.boundary_particles
-        return math.ceil(self.kernel_spec.support_radius / self.dx) + 1
+        for name, value in (("num_particles", n), ("dx", dx), ("h", h),
+                            ("kernel_spec", spec), ("ghosts_per_end", nb)):
+            setfield(name, value)
 
 
 def _freeze_columns(obj, names) -> None:

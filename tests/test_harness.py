@@ -3,7 +3,7 @@ CSV round trips, convergence sweeps and the additive error decomposition."""
 import csv
 import io
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -135,6 +135,60 @@ def test_config_derives_ghosts_from_the_kernel_support():
     assert ExperimentConfig(qubits=8, boundary_particles=4).ghosts_per_end == 4
     pinned_h = ExperimentConfig(qubits=4, smoothing_length=0.3)
     assert pinned_h.ghosts_per_end == math.ceil(8 * 0.3 / (2 / 16)) + 1
+
+
+DERIVED = ("num_particles", "dx", "h", "kernel_spec", "ghosts_per_end")
+
+
+def _layout(config):
+    return tuple(getattr(config, name) for name in DERIVED)
+
+
+@pytest.mark.parametrize("changes, layout", [
+    ({"qubits": 10},
+     (1024, 2 / 1024, 4 / 1024, KernelSpec(KernelFamily.GAUSSIAN, 1, 4 / 1024), 17)),
+    ({"domain": (0.0, 3.0)},
+     (64, 3 / 64, 6 / 64, KernelSpec(KernelFamily.GAUSSIAN, 1, 6 / 64), 17)),
+    ({"smoothing_length": 0.3},
+     (64, 2 / 64, 0.3, KernelSpec(KernelFamily.GAUSSIAN, 1, 0.3), 78)),
+    ({"boundary_particles": 3},
+     (64, 2 / 64, 4 / 64, KernelSpec(KernelFamily.GAUSSIAN, 1, 4 / 64), 3)),
+    ({"kernel": "wendland", "qubits": 4},
+     (16, 2 / 16, 4 / 16, KernelSpec(KernelFamily.WENDLAND, 1, 4 / 16), 5)),
+])
+def test_derived_layout_follows_replace(changes, layout):
+    base = ExperimentConfig(qubits=6, derivative_order=1)
+    changed = replace(base, **changes)
+    assert _layout(changed) == layout
+    assert _layout(changed) == _layout(ExperimentConfig(derivative_order=1, **{
+        "qubits": 6, **changes}))
+    assert _layout(replace(changed, **{k: getattr(base, k) for k in changes})) == _layout(base)
+
+
+def test_derived_layout_is_not_part_of_repr_eq_or_hash():
+    cfg = ExperimentConfig()
+    assert repr(cfg) == (
+        "ExperimentConfig(kernel=<KernelFamily.GAUSSIAN: 'gaussian'>, derivative_order=0, "
+        "qubits=8, domain=Domain(a=-1.0, b=1.0), eval_points=300, boundary_particles=None, "
+        "smoothing_length=None, norm_mode='exact', estimator='exact', shots=10000, seed=0, "
+        "pe_qubits=8, boundary_values='analytic')")
+    given_fields = [f.name for f in fields(cfg) if f.init]
+    assert [f.name for f in fields(cfg) if f.compare or f.repr] == given_fields
+    assert hash(cfg) == hash(tuple(getattr(cfg, name) for name in given_fields))
+    # the same layout from other settings is another config
+    pinned = ExperimentConfig(smoothing_length=cfg.h, boundary_particles=cfg.ghosts_per_end)
+    assert _layout(pinned) == _layout(cfg) and pinned != cfg
+    assert replace(pinned, smoothing_length=None, boundary_particles=None) == cfg
+    assert hash(replace(pinned, smoothing_length=None, boundary_particles=None)) == hash(cfg)
+
+
+def test_derived_layout_is_neither_an_argument_nor_settable():
+    with pytest.raises(TypeError):
+        ExperimentConfig(dx=0.5)
+    with pytest.raises(ValueError):
+        replace(ExperimentConfig(), ghosts_per_end=3)
+    with pytest.raises(FrozenInstanceError):
+        ExperimentConfig().h = 0.5
 
 
 def test_config_accepts_kernel_name_string():

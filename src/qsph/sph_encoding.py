@@ -98,11 +98,17 @@ def coefficient_peak(coeff: np.ndarray) -> float:
 
 
 def coefficient_norm(coeff: np.ndarray) -> float:
-    """Exact ||a|| of the coefficients a = [f_k dx_k], without building |a>:
-    the real norm of the coefficients scaled by an exact power of two near
-    the largest, so tiny ones neither underflow nor lose bits when squared."""
+    """Exact ||a|| of the coefficients a = [f_k dx_k], without building |a>.
+
+    The coefficients are scaled by an exact power of two near the largest,
+    so tiny ones neither underflow nor lose bits when squared. The squares
+    are summed by numpy's pairwise reduction, in an order fixed by the
+    count alone; BLAS (``np.linalg.norm``) splits the sum across its
+    threads, so its last bits would depend on the number of cores.
+    """
     exponent = math.frexp(coefficient_peak(coeff))[1]
-    return math.ldexp(float(np.linalg.norm(np.ldexp(coeff, -exponent))), exponent)
+    scaled = np.ldexp(coeff, -exponent)
+    return math.ldexp(math.sqrt(np.multiply(scaled, scaled, out=scaled).sum()), exponent)
 
 
 def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray],

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qsph import _g17, harness
+from qsph import _g17, harness, sph_encoding
 from qsph.discretization import DiscretisationError, Domain, sample_points, uniform_discretise
 from qsph.harness import (
     CSV_HEADER,
@@ -486,6 +486,30 @@ def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
         run_convergence_sweep(base, m_values=(4, 5))
     with pytest.raises(AssertionError, match="coefficient_norm called"):
         run_experiment(replace(base, norm_mode="integral"))
+
+
+def test_runs_and_sweeps_evaluate_kernels_where_the_benchmark_tracer_wraps_them(monkeypatch):
+    """bench/tracing.py counts kernel values by wrapping ``evaluate`` in
+    qsph.sph_encoding, tags each call with the family of its first argument,
+    a KernelSpec, and imports StateVector and FunctionSamples to wrap them."""
+    from qsph.quantum_state import StateVector  # noqa: F401
+    assert isinstance(vars(sph_encoding.FunctionSamples)["from_function"], classmethod)
+
+    calls = []
+    evaluate = sph_encoding.evaluate
+
+    def traced(*args, **kwargs):
+        calls.append(args[0] if args else kwargs["spec"])
+        return evaluate(*args, **kwargs)
+    monkeypatch.setattr(sph_encoding, "evaluate", traced)
+    for kernel in KernelFamily:
+        base = ExperimentConfig(kernel=kernel, qubits=5, eval_points=9)
+        for run in (lambda: run_experiment(base),
+                    lambda: run_convergence_sweep(base, m_values=(4, 5))):
+            calls.clear()
+            run()
+            assert calls and all(type(spec) is KernelSpec and spec.family is kernel
+                                 for spec in calls)
 
 
 def test_sweep_rejects_bad_m_sequences():

@@ -1,12 +1,17 @@
 """The direct sums, and the register encoding of them with the
 reconstruction identity."""
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import qsph
 import qsph.registers
 import qsph.sph_encoding
 from qsph.discretization import Domain, from_edges, uniform_discretise
@@ -456,3 +461,31 @@ def test_reconstruct_scales_linearly(lam):
     v1 = reconstruct(encode(disc, base, spec, 0.2))
     v2 = reconstruct(encode(disc, scaled, spec, 0.2))
     assert v2 == pytest.approx(lam * v1, rel=1e-11)
+
+
+NORMS_AS_HEX = """
+import numpy as np
+from qsph.discretization import Domain, uniform_positions
+from qsph.harness import target_function
+from qsph.sph_encoding import coefficient_norm
+for ghosts in (17, 5):  # the default Gaussian and Wendland layouts
+    for m in (14, 16):
+        coeff = target_function(uniform_positions(Domain(-1.0, 1.0), 2 ** m, ghosts))
+        print(coefficient_norm(coeff * (2.0 / 2 ** m)).hex())
+"""
+
+
+def test_coefficient_norm_does_not_depend_on_the_blas_thread_count():
+    # a BLAS dot product splits its sum across threads from about 10^4 values
+    # on, and each split rounds differently; these layouts have 2^14 and more
+    package_parent = Path(qsph.__file__).resolve().parents[1]
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": str(package_parent), "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        proc = subprocess.run([sys.executable, "-c", NORMS_AS_HEX], capture_output=True,
+                              text=True, timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(proc.stdout.split())
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]

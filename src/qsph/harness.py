@@ -112,8 +112,8 @@ _INTEGER_RANGES = {
 
 
 def _integer(name: str, value, lo: int, hi: int | float) -> int:
-    # an exact int skips the numbers.Integral check, an ABC lookup that costs
-    # more than the rest of the config; bool is a subclass of int, not an int
+    # an exact int skips the numbers.Integral check, a slow ABC lookup; bool
+    # is a subclass of int, not an int, so it still fails below
     if type(value) is not int and (isinstance(value, bool)
                                    or not isinstance(value, numbers.Integral)):
         raise ConfigError(f"{name}: expected an integer, got {value!r}")
@@ -156,10 +156,10 @@ class ExperimentConfig:
     exceed the rounding of the particle coordinates (about 8 ulps of the
     farthest one), so every particle is distinct.
 
-    The layout those checks derive is kept, not recomputed on access:
-    num_particles = 2^qubits, dx, h, kernel_spec and ghosts_per_end are
-    attributes set once by validation, not arguments, and not part of the
-    config's repr, == or hash.
+    The checks derive the layout, and the config keeps it as attributes
+    that are not arguments and not part of its repr, == or hash:
+    num_particles = 2^qubits, dx = domain length / num_particles, h,
+    kernel_spec (the kernel at h) and ghosts_per_end.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN

@@ -16,7 +16,9 @@ import functools
 import json
 import math
 import sys
+from contextlib import nullcontext
 
+from . import harness  # its writers, looked up per call: bench/tracing.py wraps them
 from .discretization import DiscretisationError
 from .harness import (
     BOUNDARY_MODES,
@@ -29,10 +31,6 @@ from .harness import (
     run_convergence_sweep,
     run_experiment,
     sweep_m_values,
-    write_rows,
-    write_rows_path,
-    write_sweep,
-    write_sweep_path,
 )
 from .kernels import DERIVATIVE_ORDERS, KernelFamily
 from .sph_encoding import ZeroSamplesError
@@ -122,11 +120,7 @@ def _cmd_run(settings: dict, out: str | None) -> int:
         print("numerical failure: non-finite values in the result curve",
               file=sys.stderr)
         return EXIT_NUMERIC
-    if out:
-        write_rows_path(out, curve)
-    else:
-        write_rows(sys.stdout, curve)
-    return EXIT_OK
+    return _write(out, harness.write_rows, curve)
 
 
 def _cmd_sweep(settings: dict, out: str | None) -> int:
@@ -136,10 +130,14 @@ def _cmd_sweep(settings: dict, out: str | None) -> int:
     if not all(math.isfinite(rms) for _, rms in entries):
         print("numerical failure: non-finite RMS in the sweep", file=sys.stderr)
         return EXIT_NUMERIC
-    if out:
-        write_sweep_path(out, entries, config.kernel, config.derivative_order)
-    else:
-        write_sweep(sys.stdout, entries, config.kernel, config.derivative_order)
+    return _write(out, harness.write_sweep, entries, config.kernel, config.derivative_order)
+
+
+def _write(out: str | None, write, *args) -> int:
+    """write(stream, *args) to the file out, opened only once the run has
+    succeeded, or to stdout."""
+    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+        write(fh, *args)
     return EXIT_OK
 
 

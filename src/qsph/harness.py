@@ -455,16 +455,11 @@ def run_convergence_sweep(base: ExperimentConfig,
     return entries
 
 
-def _fmt(v: float) -> str:
-    # 17 significant digits round-trips IEEE doubles exactly
-    return format(v, ".17g")
-
-
 def write_rows(stream, curve: Curve) -> None:
     """CSV with header x,f_exact,f_approx,abs_error and LF line endings.
 
     Every value is written as format(v, ".17g") writes it; no field ever
-    needs quoting, so the bytes are those of ``csv.writer`` with ``_fmt``.
+    needs quoting, so the bytes are those of ``csv.writer`` with that format.
     ``csv_lines`` formats the table in array passes, a block of rows at a
     time. The values it writes one at a time by ``"%.17g" % v`` are the
     non-finite ones, zeros (-0.0 too), those with |v| outside
@@ -477,13 +472,8 @@ def write_rows(stream, curve: Curve) -> None:
         stream.write(lines)
 
 
-def write_rows_path(path: str, curve: Curve) -> None:
-    with open(path, "w", newline="") as fh:
-        write_rows(fh, curve)
-
-
 def read_rows(path: str) -> Curve:
-    """Parse a curve CSV back into a Curve; exact inverse of write_rows_path.
+    """Parse a curve CSV back into a Curve; exact inverse of write_rows.
 
     Raises ValueError naming the line of a row without exactly four fields,
     of a field that is not a float, or of an abs_error that is not
@@ -515,17 +505,10 @@ def read_rows(path: str) -> Curve:
 
 def write_sweep(stream, entries: list[tuple[int, float]],
                 kernel: KernelFamily, order: int) -> None:
-    """CSV with header m,kernel,order,rms and LF line endings."""
-    w = csv.writer(stream, lineterminator="\n")
-    w.writerow(SWEEP_HEADER)
+    """CSV with header m,kernel,order,rms, LF line endings and rms as %.17g."""
+    stream.write(",".join(SWEEP_HEADER) + "\n")
     for m, rms in entries:
-        w.writerow([str(m), kernel.value, str(order), _fmt(rms)])
-
-
-def write_sweep_path(path: str, entries: list[tuple[int, float]],
-                     kernel: KernelFamily, order: int) -> None:
-    with open(path, "w", newline="") as fh:
-        write_sweep(fh, entries, kernel, order)
+        stream.write(f"{m},{kernel.value},{order},{rms:.17g}\n")
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 import qsph
-from qsph import cli
+from qsph import cli, harness
 from qsph.harness import (
     ESTIMATORS,
     Curve,
@@ -237,6 +237,42 @@ def test_sweep_whose_squared_errors_overflow_exits_3(capsys, order, h):
     out, err = capsys.readouterr()
     assert out == ""
     assert "non-finite RMS" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["run", "--qubits", "1"], 2),
+    (["run", "--domain", "1e200", "2e200"], 3),
+    (["sweep", "--m-min", "2", "--m-max", "2", "--h", "1e-200", "--boundary-particles", "1"], 3),
+])
+def test_a_failed_run_leaves_no_out_file(tmp_path, capsys, argv, code):
+    out = tmp_path / "table.csv"
+    assert cli.main([*argv, "--points", "9", "--out", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, writer", [
+    (["run", "--qubits", "4"], "write_rows"),
+    (["sweep", "--m-max", "5"], "write_sweep"),
+])
+@pytest.mark.parametrize("to_file", [False, True])
+def test_every_table_goes_through_the_harness_writer(monkeypatch, tmp_path, capsys,
+                                                      command, writer, to_file):
+    """bench/tracing.py times the CSV writers by replacing them on qsph.harness,
+    so the CLI looks them up there for --out and for stdout alike."""
+    streams = []
+    original = getattr(harness, writer)
+
+    def spy(stream, *args):
+        streams.append(stream)
+        original(stream, *args)
+
+    monkeypatch.setattr(harness, writer, spy)
+    out = tmp_path / "table.csv"
+    assert cli.main([*command, "--points", "3", *(["--out", str(out)] if to_file else [])]) == 0
+    written = out.read_text() if to_file else capsys.readouterr().out
+    assert len(streams) == 1
+    assert (streams[0] is sys.stdout) is not to_file
+    assert written.count("\n") == (4 if writer == "write_rows" else 3)
 
 
 GOLDEN = Path(__file__).resolve().parent / "golden"

@@ -27,8 +27,7 @@ from qsph.harness import (
     run_experiment,
     target_function,
     write_rows,
-    write_rows_path,
-    write_sweep_path,
+    write_sweep,
 )
 from qsph.kernels import KernelFamily, KernelSpec, scaling_constant
 from qsph.sph_encoding import (
@@ -537,7 +536,8 @@ def test_sweep_keeps_an_explicit_smoothing_length_fixed():
 def test_curve_csv_round_trip_is_exact(tmp_path):
     rows = run_experiment(ExperimentConfig(qubits=4, eval_points=5))
     path = tmp_path / "curve.csv"
-    write_rows_path(str(path), rows)
+    with open(path, "w", newline="") as fh:
+        write_rows(fh, rows)
     assert _columns(read_rows(str(path))) == _columns(rows)
     raw = path.read_bytes()
     assert b"\r" not in raw
@@ -677,8 +677,8 @@ def test_read_rows_rejects_foreign_header(tmp_path):
 
 def test_sweep_csv_format(tmp_path):
     path = tmp_path / "sweep.csv"
-    write_sweep_path(str(path), [(4, 0.125), (5, 0.0625)],
-                     KernelFamily.GAUSSIAN, 0)
+    with open(path, "w", newline="") as fh:
+        write_sweep(fh, [(4, 0.125), (5, 0.0625)], KernelFamily.GAUSSIAN, 0)
     lines = path.read_text().splitlines()
     assert lines[0] == "m,kernel,order,rms"
     assert lines[1] == "4,gaussian,0,0.125"

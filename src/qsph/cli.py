@@ -5,9 +5,9 @@ type and valid range, and ``sweep_m_values`` the sweep's; the choices and
 the defaults in the help come from there. Every flag of a subcommand can
 also come from a JSON config file (--config FILE) whose keys are its long
 flag names with dashes as underscores; explicit flags override file values.
-Exit codes: 0 success, 2 configuration error, 3 numerical failure (non-finite
-values, a target that is zero at every particle, or a readout scale c N ||a||
-that is not a positive normal double).
+Exit codes: 0 success, 1 stdout closed early, 2 configuration error, 3
+numerical failure (non-finite values, a target that is zero at every particle,
+or a readout scale c N ||a|| that is not a positive normal double).
 """
 from __future__ import annotations
 
@@ -15,6 +15,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import re
 import sys
 from contextlib import nullcontext
 
@@ -36,8 +38,11 @@ from .kernels import DERIVATIVE_ORDERS, KernelFamily
 from .sph_encoding import ZeroSamplesError
 
 EXIT_OK = 0
+EXIT_CLOSED_STDOUT = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
+# argparse before 3.13 takes -1e-3 for an option: its pattern has no exponent
+NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
 
 
 def _common_flags(p: argparse.ArgumentParser, d: ExperimentConfig) -> list[argparse.Action]:
@@ -90,6 +95,7 @@ def build_parser() -> argparse.ArgumentParser:
         sweep.add_argument("--m-min", type=int, help=f"smallest register size (default {ms[0]})"),
         sweep.add_argument("--m-max", type=int, help=f"largest register size (default {ms[-1]})")]
     for p, flags in ((run, run_flags), (sweep, sweep_flags)):
+        p._negative_number_matcher = NEGATIVE_NUMBER
         p.add_argument("--config", metavar="FILE",
                        help="JSON file supplying any of the other flags")
         flags += _common_flags(p, d)
@@ -135,9 +141,16 @@ def _cmd_sweep(settings: dict, out: str | None) -> int:
 
 def _write(out: str | None, write, *args) -> int:
     """write(stream, *args) to the file out, opened only once the run has
-    succeeded, or to stdout."""
-    with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
-        write(fh, *args)
+    succeeded, or to stdout. A pipe closed early (``| head``) ends the run
+    quietly, with stdout on os.devnull for the interpreter's last flush."""
+    try:
+        with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+            write(fh, *args)
+            fh.flush()
+    except BrokenPipeError:
+        with open(os.devnull, "w") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_CLOSED_STDOUT
     return EXIT_OK
 
 

@@ -154,7 +154,7 @@ class ExperimentConfig:
     the error names domain when h is the derived 2 dx), the particles and
     ghosts together must fit twice the largest register, 2^17, and dx must
     exceed the rounding of the particle coordinates (about 8 ulps of the
-    farthest one), so every particle is distinct.
+    farthest one, which must not overflow), so every particle is distinct.
 
     The checks derive the layout, and the config keeps it as attributes
     that are not arguments and not part of its repr, == or hash:
@@ -237,6 +237,9 @@ class ExperimentConfig:
         # ulp(reach), from the length, product and sum. Neighbours are dx apart,
         # so a dx above twice that keeps every position increasing.
         reach = max(abs(a), abs(b)) + (nb + 1) * dx
+        if reach == math.inf:
+            name = "domain" if self.boundary_particles is None else "boundary_particles"
+            raise ConfigError(f"{name}: {nb} ghosts per end overflow past the largest double")
         if not dx > (n + 2 * nb) * math.ulp(dx) + 8 * math.ulp(reach):
             raise ConfigError(f"domain: [{a!r}, {b!r}] is too short for 2^{self.qubits} "
                               f"distinct particle positions, dx = {dx!r}")

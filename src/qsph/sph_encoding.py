@@ -166,7 +166,8 @@ def support_window(positions: np.ndarray, spec: KernelSpec) -> int:
     """
     pos = positions
     n = pos.size
-    top = pos + 2.0 * spec.support_radius
+    with np.errstate(over="ignore"):  # an infinite top fits every later particle
+        top = pos + 2.0 * spec.support_radius
 
     def fits(w: int) -> bool:
         return w <= n and bool((pos[w - 1:] <= top[:n - w + 1]).any())
@@ -204,7 +205,8 @@ def kernel_sums(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
     register_length(positions.size), the strictest N.
     """
     width = support_window(positions, spec)
-    starts = np.searchsorted(positions, xs - spec.support_radius, side="left")
+    with np.errstate(over="ignore"):  # -inf starts at the first particle
+        starts = np.searchsorted(positions, xs - spec.support_radius, side="left")
     starts = np.minimum(starts, positions.size - width)
     window = np.arange(width)
     c = scaling_constant(spec)

@@ -175,6 +175,20 @@ def test_extreme_domain_integral_norm_run_is_finite(capsys, domain):
     assert all(math.isfinite(float(v)) for row in rows for v in row)
 
 
+@pytest.mark.parametrize("command", [["run", "--qubits", "4"], ["sweep", "--m-max", "5"]])
+@pytest.mark.parametrize("spelled, plain", [("-1e-3", "-0.001"), ("-1E2", "-100")])
+def test_negative_domain_endpoints_may_use_an_exponent(capsys, command, spelled, plain):
+    # argparse before Python 3.13 took -1e-3 for an option and found --domain one short
+    outputs = []
+    for a in (spelled, plain):
+        assert cli.main([*command, "--points", "3", "--domain", a, "1"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*command, "--domain", "-e5", "1"])
+    assert exc.value.code == 2
+
+
 def test_domain_far_left_of_zero_runs(capsys):
     # |a| >> |b|: the 16 particles are distinct and centred to within ulps of 1e5
     assert cli.main(["run", "--qubits", "4", "--points", "3",
@@ -239,6 +253,20 @@ def test_sweep_whose_squared_errors_overflow_exits_3(capsys, order, h):
     assert "non-finite RMS" in err
 
 
+@pytest.mark.parametrize("command", [["run", "--qubits", "4"], ["sweep", "--m-max", "5"]])
+@pytest.mark.parametrize("domain", [["1e308", "1.7e308"], ["-1.7e308", "-1e308"]])
+def test_layouts_that_reach_the_largest_double(capsys, command, domain):
+    argv = [*command, "--points", "3", "--domain", *domain]
+    assert cli.main(argv) == 2
+    assert "overflow past the largest double" in capsys.readouterr().err
+    # one ghost per end fits: the support window's top and the points' lowest
+    # neighbour overflow to +-inf, which is quietly right; the target underflows
+    assert cli.main([*argv, "--boundary-particles", "1"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "numerical failure: all-zero samples" in err
+
+
 @pytest.mark.parametrize("argv, code", [
     (["run", "--qubits", "1"], 2),
     (["run", "--domain", "1e200", "2e200"], 3),
@@ -284,8 +312,11 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 ])
 def test_wendland_exact_outputs_keep_their_golden_bytes(tmp_path, argv, name):
     """Byte for byte the CSVs committed in tests/golden. Wendland order 0 with
-    the exact readout uses no exp or log10, so its bytes do not depend on
-    numpy's CPU dispatch; a change to them is a change to the CSV contract."""
+    the exact readout uses no exp. The writer calls np.log10 (in
+    _g17._round17), but its threshold table fixes the decade, so the bytes
+    do not depend on the result. So they do not depend on numpy's CPU
+    dispatch either, which CI checks by rerunning the tests under the
+    baseline one. A change to them is a change to the CSV contract."""
     out = tmp_path / name
     assert cli.main([*argv, "--kernel", "wendland", "--order", "0", "--points", "33",
                      "--out", str(out)]) == 0
@@ -354,6 +385,20 @@ def test_console_script_on_path_runs(tmp_path):
     proc = subprocess.run(["qsph", *SCRIPT_ARGS], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     _assert_script_streams_curve(proc)
+
+
+def test_a_closed_stdout_exits_1_quietly(tmp_path):
+    # 20000 rows fill the pipe long before the run ends, as with `| head -1`
+    package_parent = Path(qsph.__file__).resolve().parents[1]
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qsph.cli", *SCRIPT_ARGS[:3], "--points", "20000"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(package_parent)})
+    assert proc.stdout.readline() == b"x,f_exact,f_approx,abs_error\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=120), err) == (1, b"")
 
 
 ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")

@@ -254,6 +254,18 @@ def test_config_rejections_name_the_field(kwargs, field):
         ExperimentConfig(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    ({"domain": (1e308, 1.7e308)}, "domain"),
+    ({"domain": (-1.7e308, -1e308)}, "domain"),
+    ({"domain": (1e308, 1.7e308), "boundary_particles": 10}, "boundary_particles"),
+])
+def test_ghosts_past_the_largest_double_are_named_as_overflow(kwargs, field):
+    # dx = 4.4e306: 17 derived or 10 given ghosts per end overflow, 1 does not
+    with pytest.raises(ConfigError, match=f"^{field}: .* overflow past the largest double"):
+        ExperimentConfig(qubits=4, **kwargs)
+    assert ExperimentConfig(qubits=4, **{**kwargs, "boundary_particles": 1}).ghosts_per_end == 1
+
+
 def test_layout_may_fill_twice_the_largest_register():
     # 2^16 particles and 2^15 ghosts per end: exactly 2^17 slots
     assert ExperimentConfig(qubits=16, boundary_particles=2 ** 15).ghosts_per_end == 2 ** 15

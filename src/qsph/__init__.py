@@ -7,7 +7,7 @@ through an idealized phase-estimation quantizer. A run computes Re <a|W>
 from the direct sums and never builds the registers. Run-path submodules:
 
 kernels        -- Gaussian / Wendland kernels, derivatives, peak constants
-discretization -- 1-D particle layouts with ghost particles
+discretization -- the uniform 1-D particle layout with ghost particles
 sph_encoding   -- the batched direct sums, ||a|| and the register length
 harness        -- end-to-end experiments as closed forms in Re <a|W>,
                   returned as float columns; RMS convergence, CSV output
@@ -20,14 +20,7 @@ quantum_state  -- dense state vectors and operators
 registers      -- the |a>, |W> states and the reconstruction identity
 swap_test      -- overlap readout (exact / sampled / phase-quantized)
 """
-from .discretization import (
-    DiscretisationError,
-    Domain,
-    ParticleDiscretisation,
-    from_edges,
-    sample_points,
-    uniform_discretise,
-)
+from .discretization import DiscretisationError, Domain, sample_points
 from .harness import (
     ConfigError,
     Curve,
@@ -39,7 +32,7 @@ from .harness import (
     target_function,
 )
 from .kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
-from .sph_encoding import FunctionSamples, register_length, sph_sums
+from .sph_encoding import register_length
 
 __version__ = "0.1.0"
 
@@ -49,20 +42,15 @@ __all__ = [
     "DiscretisationError",
     "Domain",
     "ExperimentConfig",
-    "FunctionSamples",
     "KernelFamily",
     "KernelSpec",
-    "ParticleDiscretisation",
     "decompose_error",
     "evaluate",
-    "from_edges",
     "register_length",
     "rms_error",
     "run_convergence_sweep",
     "run_experiment",
     "sample_points",
     "scaling_constant",
-    "sph_sums",
     "target_function",
-    "uniform_discretise",
 ]

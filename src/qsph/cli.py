@@ -5,9 +5,11 @@ type and valid range, and ``sweep_m_values`` the sweep's; the choices and
 the defaults in the help come from there. Every flag of a subcommand can
 also come from a JSON config file (--config FILE) whose keys are its long
 flag names with dashes as underscores; explicit flags override file values.
-Exit codes: 0 success, 1 stdout closed early, 2 configuration error, 3
-numerical failure (non-finite values, a target that is zero at every particle,
-or a readout scale c N ||a|| that is not a positive normal double).
+Exit codes: 0 success, 1 the table could not be written (stdout closed
+early, or a write or flush failed), 2 configuration error (an --out that
+cannot be opened among them), 3 numerical failure (non-finite values, a
+target that is zero at every particle, or a readout scale c N ||a|| that is
+not a positive normal double).
 """
 from __future__ import annotations
 
@@ -38,11 +40,13 @@ from .kernels import DERIVATIVE_ORDERS, KernelFamily
 from .sph_encoding import ZeroSamplesError
 
 EXIT_OK = 0
-EXIT_CLOSED_STDOUT = 1
+EXIT_WRITE = 1
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-# argparse before 3.13 takes -1e-3 for an option: its pattern has no exponent
-NEGATIVE_NUMBER = re.compile(r"^-(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?$")
+# argparse takes -inf and -nan for options, and before Python 3.13 -1e-3 as
+# well; matched here, they reach the config's checks, which name the field
+NEGATIVE_NUMBER = re.compile(r"^-(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?|inf(?:inity)?|nan)$",
+                             re.IGNORECASE)
 
 
 def _common_flags(p: argparse.ArgumentParser, d: ExperimentConfig) -> list[argparse.Action]:
@@ -141,16 +145,25 @@ def _cmd_sweep(settings: dict, out: str | None) -> int:
 
 def _write(out: str | None, write, *args) -> int:
     """write(stream, *args) to the file out, opened only once the run has
-    succeeded, or to stdout. A pipe closed early (``| head``) ends the run
-    quietly, with stdout on os.devnull for the interpreter's last flush."""
+    succeeded, or to stdout. A failure to open is the caller's. A write or
+    flush that fails exits 1 and names the destination, unless stdout was
+    closed early (``| head``), which ends the run quietly. A partial out
+    file is removed; stdout goes to os.devnull for the interpreter's last
+    flush."""
+    dest = open(out, "w", newline="") if out else nullcontext(sys.stdout)
     try:
-        with open(out, "w", newline="") if out else nullcontext(sys.stdout) as fh:
+        with dest as fh:
             write(fh, *args)
             fh.flush()
-    except BrokenPipeError:
-        with open(os.devnull, "w") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_CLOSED_STDOUT
+    except OSError as exc:
+        if not out:
+            with open(os.devnull, "w") as devnull:
+                os.dup2(devnull.fileno(), sys.stdout.fileno())
+        elif os.path.isfile(out):  # never a device such as /dev/full
+            os.remove(out)
+        if not isinstance(exc, BrokenPipeError):
+            print(f"write error: {out or 'stdout'}: {exc}", file=sys.stderr)
+        return EXIT_WRITE
     return EXIT_OK
 
 

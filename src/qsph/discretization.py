@@ -1,15 +1,15 @@
 """1-D particle discretisation of a finite interval.
 
-The interval [a, b] is split into N subintervals; one particle sits at the
-centre of each and carries its width. Optional boundary (ghost) particles
-continue the outermost spacing beyond the interval ends, which mitigates
-kernel-support truncation when summing near a or b. A layout is the particle
-positions and widths alone; the subinterval edges are not kept.
+The interval [a, b] is split into N equal subintervals of width dx; one
+particle sits at the centre of each. Optional boundary (ghost) particles
+continue the spacing beyond the interval ends, which mitigates
+kernel-support truncation when summing near a or b. A layout is its
+particle positions alone: every particle carries the width dx.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,58 +34,6 @@ class Domain:
     @property
     def length(self) -> float:
         return self.b - self.a
-
-
-@dataclass(frozen=True)
-class ParticleDiscretisation:
-    """Particle positions and widths, the only layout data the sums read.
-
-    ``positions`` and ``widths`` cover all particles in ascending order:
-    ``n_boundary_each_end`` ghosts below the domain, the interior particles,
-    then the same number of ghosts above it. Every entry is finite, the
-    positions strictly increase and the widths are positive.
-    """
-
-    positions: np.ndarray
-    widths: np.ndarray
-    n_boundary_each_end: int
-    total_count: int = field(init=False)
-
-    def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=float)
-        widths = np.asarray(self.widths, dtype=float)
-        nb = self.n_boundary_each_end
-
-        if nb < 0:
-            raise DiscretisationError("n_boundary_each_end must be nonnegative")
-        if positions.ndim != 1 or positions.shape != widths.shape or positions.size <= 2 * nb:
-            raise DiscretisationError("positions/widths must cover interior plus boundary particles")
-        # first, so that no comparison below meets a NaN or an infinity
-        if not np.isfinite(widths).all():
-            raise DiscretisationError("widths must be finite")
-        check_positions(positions)
-        if not np.all(widths > 0.0):
-            raise DiscretisationError("widths must be positive")
-
-        for arr in (positions, widths):
-            arr.setflags(write=False)
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "widths", widths)
-        object.__setattr__(self, "total_count", positions.size)
-
-    @property
-    def num_interior(self) -> int:
-        return self.total_count - 2 * self.n_boundary_each_end
-
-    @property
-    def interior_positions(self) -> np.ndarray:
-        nb = self.n_boundary_each_end
-        return self.positions[nb:self.total_count - nb]
-
-    @property
-    def interior_widths(self) -> np.ndarray:
-        nb = self.n_boundary_each_end
-        return self.widths[nb:self.total_count - nb]
 
 
 def check_positions(positions: np.ndarray) -> None:
@@ -122,40 +70,6 @@ def uniform_positions(domain: Domain, num_particles: int,
     positions[nb + n:] = domain.b + (np.arange(nb) + 0.5) * dx
     check_positions(positions)
     return positions
-
-
-def uniform_discretise(domain: Domain, num_particles: int,
-                       n_boundary_each_end: int = 0) -> ParticleDiscretisation:
-    """Uniform partition of the domain with particles at subinterval centres
-    (``uniform_positions``), each with width dx = (b - a) / num_particles."""
-    positions = uniform_positions(domain, num_particles, n_boundary_each_end)
-    widths = np.full(positions.size, domain.length / num_particles)
-    return ParticleDiscretisation(positions, widths, n_boundary_each_end)
-
-
-def from_edges(edges, n_boundary_each_end: int = 0) -> ParticleDiscretisation:
-    """Discretisation from explicit (possibly non-uniform) subinterval edges.
-
-    Each particle sits at the centre of its subinterval and carries its
-    width; ghost particles continue the outermost width beyond each end. A
-    non-increasing edge shows up as a non-positive width, and an infinite
-    edge or an overflowing centre as a non-finite entry, both of which
-    ``ParticleDiscretisation`` rejects.
-    """
-    edges = np.asarray(edges, dtype=float)
-    if edges.ndim != 1 or edges.size < 2:
-        raise DiscretisationError("need at least two subinterval edges")
-    nb = n_boundary_each_end
-    if nb < 0:  # named here: np.full would reject the negative length first
-        raise DiscretisationError("n_boundary_each_end must be nonnegative")
-    widths_int = np.diff(edges)
-    interior = 0.5 * (edges[:-1] + edges[1:])
-    dxl, dxr = widths_int[0], widths_int[-1]
-    left = edges[0] - (np.arange(nb)[::-1] + 0.5) * dxl
-    right = edges[-1] + (np.arange(nb) + 0.5) * dxr
-    positions = np.concatenate([left, interior, right])
-    widths = np.concatenate([np.full(nb, dxl), widths_int, np.full(nb, dxr)])
-    return ParticleDiscretisation(positions, widths, nb)
 
 
 def sample_points(domain: Domain, n: int) -> np.ndarray:

@@ -315,12 +315,13 @@ def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
     return np.clip(np.ceil(theta * grid / np.pi - 0.5), 0, grid - 1)
 
 
-def _direct_sums(config: ExperimentConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums every readout starts from, for the configured layout.
+def particles(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The configured layout: the particle positions r_k, ghosts included
+    (``uniform_positions``), and the coefficients a_k = f(r_k) dx, with the
+    ghosts' a_k set to 0 under boundary_values "zero".
 
-    Returns S = sum_k a_k W_k at each query point of xs (one ``kernel_sums``
-    pass) and the coefficients a_k = f(r_k) dx. These and the positions r_k
-    are the only arrays of the particle count, and both are built in place.
+    These are a run's only arrays of the particle count, and both are built
+    in place. The sums and the dense registers both take them.
     """
     positions = uniform_positions(config.domain, config.num_particles,
                                   config.ghosts_per_end)
@@ -330,6 +331,14 @@ def _direct_sums(config: ExperimentConfig, xs: np.ndarray) -> tuple[np.ndarray, 
         coeff[:nb] = 0.0
         coeff[coeff.size - nb:] = 0.0
     coeff *= config.dx
+    return positions, coeff
+
+
+def _direct_sums(config: ExperimentConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sums every readout starts from, for the configured layout: S =
+    sum_k a_k W_k at each query point of xs (one ``kernel_sums`` pass), and
+    the coefficients a_k of ``particles``."""
+    positions, coeff = particles(config)
     return kernel_sums(positions, coeff, config.kernel_spec, xs), coeff
 
 

@@ -24,8 +24,10 @@ factor cancels the 1 / (c N) scaling inside |W>. The imaginary closure
 never leaks into the real part since |a> is real.
 
 No run builds these states: ``harness`` reads Re <a|W> off the direct sums
-of ``sph_encoding.sph_sums``. They stay so that the tests can check the run
-path against the register construction it stands for.
+of ``sph_encoding.kernel_sums``. They stay so that the tests can check the
+run path against the register construction it stands for. They take a
+layout as a run holds it (``harness.particles``): the ascending positions
+r_k and the coefficients a_k = f_k dx_k, one per particle.
 """
 from __future__ import annotations
 
@@ -33,10 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .discretization import ParticleDiscretisation
 from .kernels import KernelSpec, evaluate, scaling_constant
 from .quantum_state import StateVector, inner_product, normalize
-from .sph_encoding import FunctionSamples, ZeroSamplesError, check_closure, register_length
+from .sph_encoding import check_closure, coefficient_peak, register_length
 
 
 @dataclass(frozen=True)
@@ -64,22 +65,18 @@ class EncodedPair:
         return self.state_a.dim
 
 
-def build_a(disc: ParticleDiscretisation, samples: FunctionSamples,
+def build_a(coeff: np.ndarray,
             approx_norm: float | None = None) -> tuple[StateVector, float]:
-    """Register state |a> = a / ||a|| for a = [f_k dx_k], zero-padded.
+    """Register state |a> = a / ||a|| for the coefficients a = [f_k dx_k],
+    zero-padded; raises ZeroSamplesError (``coefficient_peak``) when all
+    are 0.
 
     With ``approx_norm`` set, the returned norm is that approximation (the
     state is still exactly normalized); otherwise the exact Euclidean norm.
     """
-    values = samples.values
-    if values.size != disc.total_count:
-        raise ValueError(f"got {values.size} samples for {disc.total_count} particles")
-    raw = values * disc.widths
-    if not np.any(raw):
-        raise ZeroSamplesError(f"all-zero samples cannot be encoded as a state: "
-                               f"f_k dx_k is 0 at all {raw.size} particles")
-    padded = np.zeros(register_length(disc.total_count), dtype=complex)
-    padded[:raw.size] = raw
+    coefficient_peak(coeff)
+    padded = np.zeros(register_length(coeff.size), dtype=complex)
+    padded[:coeff.size] = coeff
     state, exact_norm = normalize(padded)
     if approx_norm is not None:
         if not approx_norm > 0.0:
@@ -88,7 +85,7 @@ def build_a(disc: ParticleDiscretisation, samples: FunctionSamples,
     return state, exact_norm
 
 
-def build_w(disc: ParticleDiscretisation, spec: KernelSpec, eval_point: float,
+def build_w(positions: np.ndarray, spec: KernelSpec, eval_point: float,
             register_len: int) -> tuple[StateVector, float]:
     """Register state |W> holding the scaled kernel samples for one query point.
 
@@ -96,7 +93,7 @@ def build_w(disc: ParticleDiscretisation, spec: KernelSpec, eval_point: float,
     term that tops its squared modulus up to exactly 1/N; padding slots are
     purely imaginary i/sqrt(N). The state is unit-norm by construction.
     """
-    count = disc.total_count
+    count = positions.size
     if register_len < count:
         raise ValueError(f"register length {register_len} below particle count {count}")
     if register_len & (register_len - 1):
@@ -104,7 +101,7 @@ def build_w(disc: ParticleDiscretisation, spec: KernelSpec, eval_point: float,
 
     c = scaling_constant(spec)
     n = register_len
-    kernel = evaluate(spec, eval_point - disc.positions)
+    kernel = evaluate(spec, eval_point - positions)
     check_closure(np.max(np.abs(kernel)), c, n)
     scaled = kernel / (c * n)
     radicand = 1.0 / n - scaled ** 2
@@ -113,11 +110,13 @@ def build_w(disc: ParticleDiscretisation, spec: KernelSpec, eval_point: float,
     return StateVector(amps), c
 
 
-def encode(disc: ParticleDiscretisation, samples: FunctionSamples, spec: KernelSpec,
+def encode(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
            eval_point: float, approx_norm: float | None = None) -> EncodedPair:
     """Build the full (|a>, |W>) pair for one query point."""
-    state_a, norm_a = build_a(disc, samples, approx_norm)
-    state_w, c = build_w(disc, spec, eval_point, state_a.dim)
+    if coeff.size != positions.size:
+        raise ValueError(f"got {coeff.size} coefficients for {positions.size} particles")
+    state_a, norm_a = build_a(coeff, approx_norm)
+    state_w, c = build_w(positions, spec, eval_point, state_a.dim)
     return EncodedPair(state_a, state_w, norm_a, c)
 
 

@@ -7,8 +7,8 @@ The classical approximation at a query point r is
 over particles k with values f_k, widths dx_k and positions r_k.
 ``kernel_sums``, the one summation loop, computes it for a batch of query
 points, each over the particles inside the kernel support, from the
-positions and the coefficients a_k = f_k dx_k; ``sph_sums`` forms those
-from a ``ParticleDiscretisation`` and its ``FunctionSamples``.
+positions and the coefficients a_k = f_k dx_k (``harness.particles`` builds
+both for a run).
 
 The register encoding packs a = [f_k dx_k] and the kernel samples W_k into
 unit states |a> and |W> (built densely in ``qsph.registers``), with
@@ -29,10 +29,10 @@ from typing import Callable
 
 import numpy as np
 
-from .discretization import Domain, ParticleDiscretisation
+from .discretization import Domain
 from .kernels import KernelSpec, evaluate, scaling_constant
 
-# most kernel values sph_sums evaluates at once: 64 KB per float64
+# most kernel values kernel_sums evaluates at once: 64 KB per float64
 # temporary, under glibc's default 128 KB mmap threshold. On the benchmark
 # workloads the sums took fewer minor page faults at 2^13 than at 2^14, and
 # no more time than at 2^12 or 2^14.
@@ -45,38 +45,12 @@ class ZeroSamplesError(ValueError):
     is 0 and |a> does not exist."""
 
 
+# imported only by bench/tracing.py, which wraps a from_function where it finds one
 @dataclass(frozen=True)
 class FunctionSamples:
-    """Function values at the particle positions of a discretisation."""
+    """Function values at the particle positions."""
 
     values: np.ndarray
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1 or values.size < 1:
-            raise ValueError("samples must be a nonempty 1-D vector")
-        values = values.copy()
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
-
-    @classmethod
-    def from_function(cls, disc: ParticleDiscretisation, f: Callable[[np.ndarray], np.ndarray],
-                      boundary: str = "analytic") -> "FunctionSamples":
-        """Sample f at all particle positions.
-
-        boundary="analytic" evaluates f at the ghost positions as well
-        (f extends beyond the domain); boundary="zero" forces ghost values
-        to 0.
-        """
-        if boundary not in BOUNDARY_MODES:
-            raise ValueError(f"boundary must be one of {BOUNDARY_MODES}, got {boundary!r}")
-        values = np.asarray(f(disc.positions), dtype=float)
-        nb = disc.n_boundary_each_end
-        if boundary == "zero" and nb > 0:
-            # a new array: f may have returned one the caller still holds
-            ghosts = np.zeros(nb)
-            values = np.concatenate((ghosts, values[nb:disc.total_count - nb], ghosts))
-        return cls(values)  # __post_init__ makes the one private copy
 
 
 def register_length(count: int) -> int:
@@ -220,17 +194,3 @@ def kernel_sums(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
         sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
     return sums
 
-
-def sph_sums(disc: ParticleDiscretisation, samples: FunctionSamples, spec: KernelSpec,
-             eval_points) -> np.ndarray:
-    """Direct sums sum_k f_k dx_k W(x - r_k, h) over a layout, for a 1-D
-    array of query points: ``kernel_sums`` of the layout's positions and
-    a_k = f_k dx_k, for any layout, ``from_edges`` ones included.
-    """
-    values = samples.values
-    if values.size != disc.total_count:
-        raise ValueError(f"got {values.size} samples for {disc.total_count} particles")
-    xs = np.asarray(eval_points, dtype=float)
-    if xs.ndim != 1:
-        raise ValueError("query points must form a 1-D array")
-    return kernel_sums(disc.positions, values * disc.widths, spec, xs)

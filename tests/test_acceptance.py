@@ -12,12 +12,12 @@ from itertools import product
 
 import numpy as np
 
-from qsph.discretization import Domain, from_edges, uniform_discretise
-from qsph.harness import ExperimentConfig, run_experiment, rms_error, target_function
+from qsph.discretization import Domain, uniform_positions
+from qsph.harness import ExperimentConfig, particles, run_experiment, rms_error
 from qsph.kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.quantum_state import inner_product, normalize
 from qsph.registers import encode, reconstruct
-from qsph.sph_encoding import FunctionSamples, sph_sums
+from qsph.sph_encoding import kernel_sums
 from qsph.swap_test import (
     build_rotation_operator,
     build_swap_state,
@@ -25,6 +25,7 @@ from qsph.swap_test import (
     estimate_sampled,
     rotation_eigenpairs,
 )
+from test_discretization import edge_layout
 
 SUITE_SEED = 20260823
 FAMILIES = (KernelFamily.GAUSSIAN, KernelFamily.WENDLAND)
@@ -37,15 +38,18 @@ def _report(capsys, num: int, ok: bool, detail: str) -> None:
 
 
 def _random_discretisation(rng):
+    """Positions and widths of a random uniform or non-uniform layout."""
     n = int(rng.integers(4, 513))
     nb = int(rng.integers(0, 5))
     a = float(rng.uniform(-3.0, 0.0))
     length = float(rng.uniform(0.5, 4.0))
     if rng.random() < 0.5:
-        return uniform_discretise(Domain(a, a + length), n, nb)
+        domain = Domain(a, a + length)
+        positions = uniform_positions(domain, n, nb)
+        return positions, np.full(positions.size, domain.length / n)
     gaps = rng.uniform(0.2, 1.8, n)
     edges = a + length * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
-    return from_edges(edges, nb)
+    return edge_layout(edges, nb)
 
 
 @functools.lru_cache(maxsize=1)
@@ -62,15 +66,15 @@ def _randomized_suite():
     for i in range(1000):
         family = FAMILIES[i % 2]
         order = (i // 2) % 3
-        disc = _random_discretisation(rng)
+        positions, widths = _random_discretisation(rng)
         spec = KernelSpec(family, order, float(rng.uniform(0.05, 2.0)))
-        samples = FunctionSamples(rng.uniform(-1.0, 1.0, disc.total_count))
-        lo, hi = disc.positions[0], disc.positions[-1]
+        coeff = rng.uniform(-1.0, 1.0, positions.size) * widths
+        lo, hi = positions[0], positions[-1]
         x = float(rng.uniform(lo - 0.5, hi + 0.5))
 
-        pair = encode(disc, samples, spec, x)
+        pair = encode(positions, coeff, spec, x)
         rec = reconstruct(pair)
-        direct = float(sph_sums(disc, samples, spec, [x])[0])
+        direct = float(kernel_sums(positions, coeff, spec, np.array([x]))[0])
         max_identity_defect = max(max_identity_defect,
                                   abs(rec - direct) / (1.0 + abs(direct)))
         norm_sq = float(np.sum(np.abs(pair.state_w.amplitudes) ** 2))
@@ -227,10 +231,9 @@ def test_criterion_9_odd_kernel_cancellation_at_origin(capsys):
     worst = 0.0
     for family in FAMILIES:
         for m in range(4, 9):
-            disc = uniform_discretise(Domain(-1.0, 1.0), 2 ** m, 4)
-            samples = FunctionSamples.from_function(disc, target_function)
+            positions, coeff = particles(ExperimentConfig(qubits=m, boundary_particles=4))
             spec = KernelSpec(family, 1, 4.0 / 2 ** m)
-            value = reconstruct(encode(disc, samples, spec, 0.0))
+            value = reconstruct(encode(positions, coeff, spec, 0.0))
             worst = max(worst, abs(value))
     _report(capsys, 9, worst < 1e-10,
             f"order-1 value of the even target at x=0, both kernels, m=4..8: "

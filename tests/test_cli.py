@@ -5,6 +5,7 @@ needs no install; the other runs the installed `qsph` executable and is
 skipped when none is on PATH. A third checks, in a fresh interpreter, that
 runs and sweeps never import the dense register oracle, nor fractions or
 decimal."""
+import errno
 import io
 import json
 import math
@@ -184,9 +185,22 @@ def test_negative_domain_endpoints_may_use_an_exponent(capsys, command, spelled,
         assert cli.main([*command, "--points", "3", "--domain", a, "1"]) == 0
         outputs.append(capsys.readouterr().out)
     assert outputs[0] == outputs[1]
-    with pytest.raises(SystemExit) as exc:
-        cli.main([*command, "--domain", "-e5", "1"])
-    assert exc.value.code == 2
+    for token in ("-e5", "-h"):  # not numbers: --domain is left one short
+        with pytest.raises(SystemExit) as exc:
+            cli.main([*command, "--domain", token, "1"])
+        assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    ("--domain", "-inf", "domain"), ("--domain", "-Infinity", "domain"),
+    ("--domain", "-NAN", "domain"), ("--h", "-inf", "smoothing_length"),
+    ("--h", "-nan", "smoothing_length"),
+])
+def test_negative_non_finite_values_reach_the_config_check(capsys, flag, value, field):
+    # argparse took -inf for an option and found --domain one short
+    argv = ["run", "--qubits", "4", "--points", "3", flag, value]
+    assert cli.main([*argv, "1"] if flag == "--domain" else argv) == 2
+    assert capsys.readouterr().err.startswith(f"config error: {field}: expected a finite")
 
 
 def test_domain_far_left_of_zero_runs(capsys):
@@ -334,6 +348,25 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_device_as_out_exits_1_and_stays(capsys):
+    assert cli.main(["run", "--qubits", "4", "--points", "3", "--out", "/dev/full"]) == 1
+    assert capsys.readouterr().err.startswith("write error: /dev/full: [Errno 28]")
+    assert os.path.exists("/dev/full")
+
+
+def test_a_failed_write_removes_the_partial_out_file(monkeypatch, tmp_path, capsys):
+    def header_then_full(stream, curve):
+        stream.write(",".join(harness.CSV_HEADER) + "\n")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+    monkeypatch.setattr(harness, "write_rows", header_then_full)
+    out = tmp_path / "curve.csv"
+    assert cli.main(["run", "--qubits", "4", "--points", "3", "--out", str(out)]) == 1
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(f"write error: {out}: [Errno 28]")
+
+
 @pytest.mark.parametrize("estimator", ESTIMATORS)
 def test_run_writes_the_bytes_of_the_csv_module_to_stdout_and_file(estimator, tmp_path,
                                                                    capsys):
@@ -399,6 +432,20 @@ def test_a_closed_stdout_exits_1_quietly(tmp_path):
     err = proc.stderr.read()
     proc.stderr.close()
     assert (proc.wait(timeout=120), err) == (1, b"")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_a_full_stdout_exits_1_with_one_write_error(tmp_path):
+    # the interpreter's last flush of stdout must not fail a second time
+    package_parent = Path(qsph.__file__).resolve().parents[1]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(
+            [sys.executable, "-m", "qsph.cli", *SCRIPT_ARGS], stdout=full,
+            stderr=subprocess.PIPE, text=True, timeout=120, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(package_parent)})
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == [
+        "write error: stdout: [Errno 28] No space left on device"]
 
 
 ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")

@@ -1,7 +1,7 @@
 """The batched run path against the dense register oracle.
 
 ``run_experiment`` reads every overlap from the direct sums of
-``sph_sums`` and never builds a register. These tests check that the
+``kernel_sums`` and never builds a register. These tests check that the
 closed forms it uses agree with the dense states of ``registers.encode``
 and the ``swap_test`` estimators, and that its exact readout is the direct
 sum.
@@ -13,9 +13,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsph.discretization import Domain, from_edges, sample_points, uniform_discretise
+from qsph.discretization import Domain, sample_points, uniform_positions
 from qsph.harness import (
     ExperimentConfig,
+    particles,
     phase_index,
     run_experiment,
     shot_counts,
@@ -25,30 +26,37 @@ from qsph.kernels import KernelFamily, KernelSpec, scaling_constant
 from qsph.quantum_state import inner_product
 from qsph.registers import build_a, encode, reconstruct
 from qsph.sph_encoding import (
-    FunctionSamples,
     coefficient_norm,
     integral_norm_estimate,
+    kernel_sums,
     register_length,
-    sph_sums,
 )
 from qsph.swap_test import build_swap_state, estimate_phase
+from test_discretization import edge_layout
 
 DOMAIN = Domain(-1.0, 1.0)
 TIE_TOL = 1e-12  # angles this close to a grid midpoint may snap either way
 
 
+def _uniform_layout(cells, ghosts):
+    """Positions, widths and ghosts per end of a uniform layout on DOMAIN."""
+    positions = uniform_positions(DOMAIN, cells, ghosts)
+    return positions, np.full(positions.size, DOMAIN.length / cells), ghosts
+
+
 @st.composite
 def layouts(draw):
-    """A uniform or non-uniform layout on [-1, 1] with 2 to 2^10 cells."""
+    """A uniform or non-uniform layout on [-1, 1] with 2 to 2^10 cells, as
+    its positions, widths and ghosts per end."""
     m = draw(st.integers(min_value=1, max_value=10))
     ghosts = draw(st.integers(min_value=0, max_value=4))
     if draw(st.booleans()):
-        return uniform_discretise(DOMAIN, 2 ** m, ghosts)
+        return _uniform_layout(2 ** m, ghosts)
     cells = draw(st.integers(min_value=2, max_value=2 ** m))
     gaps = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))).uniform(0.2, 1.8, cells)
     edges = -1.0 + 2.0 * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
     edges[-1] = 1.0
-    return from_edges(edges, ghosts)
+    return (*edge_layout(edges, ghosts), ghosts)
 
 
 @settings(deadline=None)
@@ -63,25 +71,30 @@ def layouts(draw):
        st.integers(min_value=1, max_value=3000),
        st.integers(min_value=1, max_value=20))
 # fast p0 is 0.5 and dense p0 0.5000000000000002: the two draw different counts
-@example(uniform_discretise(DOMAIN, 2, 0), KernelFamily.GAUSSIAN, 0, 0.01, "analytic",
+@example(_uniform_layout(2, 0), KernelFamily.GAUSSIAN, 0, 0.01, "analytic",
          "exact", [0.0], 0, 1, 1)
-def test_closed_forms_match_the_dense_registers(disc, family, order, h, boundary, norm_mode,
+def test_closed_forms_match_the_dense_registers(layout, family, order, h, boundary, norm_mode,
                                                 xs, seed, shots, pe_qubits):
-    samples = FunctionSamples.from_function(disc, target_function, boundary=boundary)
-    if not np.any(samples.values):
+    positions, widths, ghosts = layout
+    values = target_function(positions)
+    if boundary == "zero":
+        values[:ghosts] = values[values.size - ghosts:] = 0.0
+    coeff = values * widths
+    if not np.any(coeff):
         return
     spec = KernelSpec(family, order, h)
     approx_norm = None
     if norm_mode == "integral":
-        approx_norm = integral_norm_estimate(DOMAIN, target_function, disc.num_interior)
-    n = register_length(disc.total_count)
+        approx_norm = integral_norm_estimate(DOMAIN, target_function,
+                                             positions.size - 2 * ghosts)
+    n = register_length(positions.size)
     c = scaling_constant(spec)
     xs = np.asarray(xs)
 
     # the same stages as run_experiment
-    exact_norm = coefficient_norm(samples.values * disc.widths)
+    exact_norm = coefficient_norm(coeff)
     norm_a = exact_norm if approx_norm is None else approx_norm
-    sums = sph_sums(disc, samples, spec, xs)
+    sums = kernel_sums(positions, coeff, spec, xs)
     rho = np.clip(sums / (c * n * exact_norm), -1.0, 1.0)
     p0 = (1.0 + rho) / 2.0
     counts = shot_counts(p0, shots, seed)
@@ -94,7 +107,7 @@ def test_closed_forms_match_the_dense_registers(disc, family, order, h, boundary
 
     grid = 2 ** pe_qubits
     for j, x in enumerate(xs):
-        pair = encode(disc, samples, spec, float(x), approx_norm)
+        pair = encode(positions, coeff, spec, float(x), approx_norm)
         scale = c * n * norm_a
         assert sums[j] * (norm_a / exact_norm) == pytest.approx(
             reconstruct(pair), rel=0.0, abs=1e-12 * scale)
@@ -120,24 +133,19 @@ def test_coefficient_norm_matches_build_a_without_the_register():
                 for boundary in ("analytic", "zero"):
                     cfg = ExperimentConfig(kernel=family, qubits=m, boundary_particles=ghosts,
                                            boundary_values=boundary)
-                    disc = uniform_discretise(cfg.domain, cfg.num_particles,
-                                              cfg.ghosts_per_end)
-                    samples = FunctionSamples.from_function(disc, target_function,
-                                                            boundary=boundary)
-                    got = coefficient_norm(samples.values * disc.widths)
-                    coeff = (samples.values * disc.widths).tolist()
-                    want = math.sqrt(math.fsum(v * v for v in coeff))
+                    _, coeff = particles(cfg)
+                    got = coefficient_norm(coeff)
+                    want = math.sqrt(math.fsum(v * v for v in coeff.tolist()))
                     assert abs(got - want) <= 2 * math.ulp(want), (family, m, ghosts, boundary)
-                    _, dense = build_a(disc, samples)
+                    _, dense = build_a(coeff)
                     assert abs(got - dense) <= 16 * math.ulp(dense), (family, m, ghosts, boundary)
 
 
 def test_coefficient_norm_scales_tiny_coefficients():
     """Squaring 1e-200 underflows; the power-of-two scaling keeps every bit."""
-    disc = uniform_discretise(Domain(0.0, 1e-200), 4)
-    samples = FunctionSamples(np.ones(4))
-    assert coefficient_norm(samples.values * disc.widths) == 0.5e-200
-    assert coefficient_norm(samples.values * disc.widths) == build_a(disc, samples)[1]
+    coeff = np.ones(4) * (1e-200 / 4)  # f = 1 on 4 cells of [0, 1e-200]
+    assert coefficient_norm(coeff) == 0.5e-200
+    assert coefficient_norm(coeff) == build_a(coeff)[1]
     with pytest.raises(ValueError, match="all-zero"):
         coefficient_norm(np.zeros(4))
 
@@ -148,12 +156,11 @@ def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
     for order in (0, 1, 2):
         cfg = ExperimentConfig(kernel=family, derivative_order=order, qubits=12,
                                eval_points=300)
-        disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.ghosts_per_end)
-        samples = FunctionSamples.from_function(disc, target_function)
+        positions, coeff = particles(cfg)
         spec = KernelSpec(family, order, cfg.h)
         got = run_experiment(cfg).f_approx.tolist()
-        want = [sph_sums(disc, samples, spec, [x])[0]
-                for x in sample_points(cfg.domain, 300)]
+        xs = sample_points(cfg.domain, 300)
+        want = [kernel_sums(positions, coeff, spec, xs[j:j + 1])[0] for j in range(xs.size)]
         assert got == want
 
 
@@ -165,17 +172,15 @@ def _dense_run(cfg: ExperimentConfig) -> list[float]:
     ``test_coefficient_norm_matches_build_a_without_the_register`` pins to
     the one ``build_a`` computes from |a>.
     """
-    disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.ghosts_per_end)
-    samples = FunctionSamples.from_function(disc, target_function,
-                                            boundary=cfg.boundary_values)
+    positions, coeff = particles(cfg)
     spec = KernelSpec(cfg.kernel, cfg.derivative_order, cfg.h)
-    approx_norm = coefficient_norm(samples.values * disc.widths)
+    approx_norm = coefficient_norm(coeff)
     if cfg.norm_mode == "integral":
         approx_norm = integral_norm_estimate(cfg.domain, target_function, cfg.num_particles)
     g = np.random.Generator(np.random.Philox(key=cfg.seed))
     out = []
     for x in sample_points(cfg.domain, cfg.eval_points):
-        pair = encode(disc, samples, spec, float(x), approx_norm)
+        pair = encode(positions, coeff, spec, float(x), approx_norm)
         if cfg.estimator == "exact":
             out.append(reconstruct(pair))
             continue

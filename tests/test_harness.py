@@ -5,6 +5,7 @@ import io
 import math
 from dataclasses import FrozenInstanceError, fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsph import _g17, harness, sph_encoding
-from qsph.discretization import DiscretisationError, Domain, sample_points, uniform_discretise
+from qsph.discretization import DiscretisationError, Domain, sample_points, uniform_positions
 from qsph.harness import (
     CSV_HEADER,
     ConfigError,
@@ -21,6 +22,7 @@ from qsph.harness import (
     ExperimentConfig,
     all_finite,
     decompose_error,
+    particles,
     read_rows,
     rms_error,
     run_convergence_sweep,
@@ -31,11 +33,10 @@ from qsph.harness import (
 )
 from qsph.kernels import KernelFamily, KernelSpec, scaling_constant
 from qsph.sph_encoding import (
-    FunctionSamples,
     coefficient_norm,
     integral_norm_estimate,
+    kernel_sums,
     register_length,
-    sph_sums,
 )
 
 # Frozen by direct summation with explicit kernel formulas (no package code
@@ -283,7 +284,7 @@ def test_accepted_domains_keep_the_particles_distinct(a, ulps_per_cell, m, kerne
         assert str(exc).startswith("domain:")
         return
     try:
-        uniform_discretise(config.domain, config.num_particles, config.ghosts_per_end)
+        uniform_positions(config.domain, config.num_particles, config.ghosts_per_end)
     except DiscretisationError as exc:
         # the config vouches for distinct positions only
         assert "strictly increasing" not in str(exc)
@@ -294,7 +295,7 @@ def test_cells_of_32_ulps_are_accepted(kernel):
     for m in range(2, 17):
         config = ExperimentConfig(kernel=kernel, qubits=m,
                                   domain=(1.0, 1.0 + 2 ** m * 32 * math.ulp(1.0)))
-        uniform_discretise(config.domain, config.num_particles, config.ghosts_per_end)
+        uniform_positions(config.domain, config.num_particles, config.ghosts_per_end)
 
 
 def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
@@ -396,14 +397,25 @@ def test_exact_run_matches_direct_summation_bitwise():
     cfg = ExperimentConfig(kernel="wendland", qubits=6, eval_points=9,
                            boundary_particles=4)
     rows = run_experiment(cfg)
-    disc = uniform_discretise(cfg.domain, cfg.num_particles, cfg.boundary_particles)
-    samples = FunctionSamples.from_function(disc, target_function)
+    positions, coeff = particles(cfg)
     spec = KernelSpec(cfg.kernel, 0, cfg.h)
     assert len(rows) == 9
     for x, f_exact, f_approx, abs_error in zip(*_columns(rows)):
         assert f_exact == target_function(x)
-        assert f_approx == sph_sums(disc, samples, spec, [x])[0]
+        assert f_approx == kernel_sums(positions, coeff, spec, np.array([x]))[0]
         assert abs_error == abs(f_exact - f_approx)
+
+
+def test_zero_boundary_values_zero_the_ghost_coefficients_only():
+    for kernel in KernelFamily:
+        cfg = ExperimentConfig(kernel=kernel, qubits=5, boundary_values="zero")
+        nb = cfg.ghosts_per_end
+        positions, coeff = particles(cfg)
+        assert positions.size == coeff.size == cfg.num_particles + 2 * nb
+        assert coeff[:nb].tolist() == coeff[coeff.size - nb:].tolist() == [0.0] * nb
+        interior = slice(nb, coeff.size - nb)
+        assert coeff[interior].tolist() == (target_function(positions[interior])
+                                            * cfg.dx).tolist()
 
 
 def test_exact_run_hits_frozen_oracle_values():
@@ -425,9 +437,8 @@ def test_integral_norm_is_a_pure_rescaling():
     integral_rows = run_experiment(
         ExperimentConfig(qubits=5, eval_points=11, boundary_particles=2,
                          norm_mode="integral"))
-    disc = uniform_discretise(base.domain, base.num_particles, base.boundary_particles)
-    samples = FunctionSamples.from_function(disc, target_function)
-    exact_norm = float(np.linalg.norm(samples.values * disc.widths))
+    _, coeff = particles(base)
+    exact_norm = float(np.linalg.norm(coeff))
     from qsph.sph_encoding import integral_norm_estimate
     ratio = integral_norm_estimate(base.domain, target_function,
                                    base.num_particles) / exact_norm
@@ -501,10 +512,8 @@ def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
 
 def test_runs_and_sweeps_evaluate_kernels_where_the_benchmark_tracer_wraps_them(monkeypatch):
     """bench/tracing.py counts kernel values by wrapping ``evaluate`` in
-    qsph.sph_encoding, tags each call with the family of its first argument,
-    a KernelSpec, and imports StateVector and FunctionSamples to wrap them."""
-    from qsph.quantum_state import StateVector  # noqa: F401
-    assert isinstance(vars(sph_encoding.FunctionSamples)["from_function"], classmethod)
+    qsph.sph_encoding and tags each call with the family of its first
+    argument, a KernelSpec."""
 
     calls = []
     evaluate = sph_encoding.evaluate
@@ -521,6 +530,28 @@ def test_runs_and_sweeps_evaluate_kernels_where_the_benchmark_tracer_wraps_them(
             run()
             assert calls and all(type(spec) is KernelSpec and spec.family is kernel
                                  for spec in calls)
+
+
+def test_the_benchmark_tracer_counts_a_run_and_puts_every_function_back(monkeypatch, tmp_path):
+    """What ``bench/run.py --trace 1`` does, on one small run: install the
+    tracer, which imports the names it wraps, run ``cli.main`` inside a span,
+    uninstall."""
+    from qsph import cli
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracing import Tracer
+
+    evaluate = sph_encoding.evaluate
+    tracer = Tracer()
+    tracer.install()
+    try:
+        argv = ["run", "--qubits", "4", "--points", "5", "--out", str(tmp_path / "o.csv")]
+        assert tracer.call("cli.main", cli.main, (argv,)) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics()
+    assert metrics["kernels.evaluate.values"] > 0
+    assert metrics["harness.query_points"] == 5
+    assert sph_encoding.evaluate is evaluate
 
 
 def test_sweep_rejects_bad_m_sequences():

@@ -16,7 +16,7 @@ cli            -- `qsph run` and `qsph sweep`
 The dense reference the run path is tested against is imported only on
 request, never from here:
 
-quantum_state  -- dense state vectors and operators
+quantum_state  -- dense unit state vectors and inner products
 registers      -- the |a>, |W> states and the reconstruction identity
 swap_test      -- overlap readout (exact / sampled / phase-quantized)
 """

@@ -7,9 +7,10 @@ also come from a JSON config file (--config FILE) whose keys are its long
 flag names with dashes as underscores; explicit flags override file values.
 Exit codes: 0 success, 1 the table could not be written (stdout closed
 early, or a write or flush failed), 2 configuration error (an --out that
-cannot be opened among them), 3 numerical failure (non-finite values, a
-target that is zero at every particle, or a readout scale c N ||a|| that is
-not a positive normal double).
+cannot be opened, or more query points than fit in memory, among them),
+3 numerical failure (non-finite values, a target that is zero at every
+particle, or a readout scale c N ||a|| that is not a positive normal
+double).
 """
 from __future__ import annotations
 
@@ -182,6 +183,11 @@ def main(argv=None) -> int:
         return _cmd_sweep(settings, out)
     except (ConfigError, DiscretisationError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    # the layout and the CSV blocks are bounded; only the query points are not
+    except MemoryError as exc:
+        print(f"config error: eval_points: the query points do not fit in memory: {exc}",
+              file=sys.stderr)
         return EXIT_CONFIG
     # e.g. the target, or the readout scale c N ||a||, underflows to 0
     except (ZeroSamplesError, ReadoutScaleError) as exc:

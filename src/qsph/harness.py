@@ -101,7 +101,8 @@ def target_function(x, order: int = 0):
 _INTEGER_RANGES = {
     "derivative_order": (DERIVATIVE_ORDERS[0], DERIVATIVE_ORDERS[-1]),
     "qubits": (2, 16),
-    "eval_points": (2, math.inf),
+    # np.linspace counts the query points in doubles, exact only up to 2^53
+    "eval_points": (2, 2 ** 53),
     "boundary_particles": (1, math.inf),
     "shots": (1, 2 ** 63 - 1),  # numpy's binomial takes an int64 count
     "seed": (0, 2 ** 128 - 1),  # the Philox key is 128 bits
@@ -139,7 +140,7 @@ class ExperimentConfig:
     or its name. derivative_order: int in DERIVATIVE_ORDERS. qubits: int in
     [2, 16]; a run never builds the 2^m registers, but the dense states the
     tests check it against are O(2^m). domain: a Domain or an (a, b) pair of
-    finite reals, a < b. eval_points: int >= 2. norm_mode, estimator,
+    finite reals, a < b. eval_points: int in [2, 2^53]. norm_mode, estimator,
     boundary_values: one of NORM_MODES, ESTIMATORS, BOUNDARY_MODES. shots:
     int in [1, 2^63 - 1]; seed: in [0, 2^128 - 1]; pe_qubits: in [1, 40],
     beyond which double rounding of the angle outgrows the phase readout's
@@ -230,7 +231,9 @@ class ExperimentConfig:
         top = 2 ** (_INTEGER_RANGES["qubits"][1] + 1)
         if register_length(n + 2 * nb) > top:
             name = "smoothing_length" if self.boundary_particles is None else "boundary_particles"
-            raise ConfigError(f"{name}: 2^{self.qubits} particles and {nb} ghosts per end "
+            # past 2^53 the digits of a derived count are those of a rounded double
+            count = nb if name == "boundary_particles" or nb < 2 ** 53 else f"about {nb:.3g}"
+            raise ConfigError(f"{name}: 2^{self.qubits} particles and {count} ghosts per end "
                               f"fill more than {top} slots, twice the largest register")
         # uniform_positions computes each coordinate a + (j + 1/2) dx to within
         # (2^m + 2 ghosts) ulp(dx) / 2, from the rounded dx, plus a few

@@ -63,7 +63,8 @@ class KernelSpec:
 
 
 def _gaussian(order: int, r, h: float):
-    e = np.exp(-(r / h) ** 2)
+    q2 = (r / h) ** 2
+    e = np.exp(-q2)
     if order == 0:
         return e / (_SQRT_PI * h)
     if order == 1:
@@ -71,7 +72,7 @@ def _gaussian(order: int, r, h: float):
         return r * (-2.0 * e) / (_SQRT_PI * h ** 3)
     # e is 0 past q^2 = 1600, so clamping there changes no value, and an
     # overflowed q^2 gives 0, not inf * 0; 4 q^2 - 2 rounds as 2 (2 q^2 - 1)
-    return (4.0 * np.minimum((r / h) ** 2, 1600.0) - 2.0) * e / (_SQRT_PI * h ** 3)
+    return (4.0 * np.minimum(q2, 1600.0) - 2.0) * e / (_SQRT_PI * h ** 3)
 
 
 def _wendland(order: int, r, h: float):

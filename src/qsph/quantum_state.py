@@ -1,10 +1,10 @@
-"""Dense complex state-vector and operator algebra for small registers.
+"""Dense complex state vectors for small registers.
 
 States are unit vectors in C^d (d = 2^m for an m-qubit register, but any
 d >= 1 is allowed). Basis ordering is big-endian: index k is the base-10
-value of the qubit string read left to right, and tensor products follow
-the same convention. Everything is dense; the simulations here stay at
-d <= 2^16, where structured operator machinery buys nothing.
+value of the qubit string read left to right. Operators on these states
+are plain numpy matrices; everything is dense, since the simulations here
+stay at d <= 2^16.
 """
 from __future__ import annotations
 
@@ -55,32 +55,6 @@ class StateVector:
         return self.amplitudes.size
 
 
-@dataclass(frozen=True)
-class Operator:
-    """Dense matrix acting on state vectors."""
-
-    entries: np.ndarray
-
-    def __post_init__(self):
-        entries = np.asarray(self.entries, dtype=complex)
-        if entries.ndim != 2:
-            raise ValueError("operator entries must form a matrix")
-        entries = entries.copy()
-        entries.setflags(write=False)
-        object.__setattr__(self, "entries", entries)
-
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.entries.shape
-
-    def is_unitary(self, tol: float = 1e-10) -> bool:
-        rows, cols = self.entries.shape
-        if rows != cols:
-            return False
-        defect = self.entries.conj().T @ self.entries - np.eye(rows)
-        return bool(np.max(np.abs(defect)) <= tol)
-
-
 def basis_state(dim: int, k: int) -> StateVector:
     """Computational basis state |k> in dimension dim."""
     if not 0 <= k < dim:
@@ -88,15 +62,6 @@ def basis_state(dim: int, k: int) -> StateVector:
     amps = np.zeros(dim, dtype=complex)
     amps[k] = 1.0
     return StateVector(amps)
-
-
-def identity(dim: int) -> Operator:
-    return Operator(np.eye(dim, dtype=complex))
-
-
-def pauli_z() -> Operator:
-    """Z|0> = |0>, Z|1> = -|1>."""
-    return Operator(np.diag([1.0, -1.0]).astype(complex))
 
 
 def normalize(raw) -> tuple[StateVector, float]:
@@ -135,33 +100,3 @@ def inner_product(x: StateVector, y: StateVector) -> complex:
     if x.dim != y.dim:
         raise ValueError(f"dimension mismatch: {x.dim} vs {y.dim}")
     return complex(np.vdot(x.amplitudes, y.amplitudes))
-
-
-def outer_product(v: StateVector, u: StateVector) -> Operator:
-    """|v><u|, the rank-1 matrix with entries v_i conj(u_j)."""
-    return Operator(np.outer(v.amplitudes, u.amplitudes.conj()))
-
-
-def tensor(a, b):
-    """Kronecker product of two operators or two state vectors.
-
-    Row-major block convention: (A (x) B)[i p + k, j q + l] = A[i, j] B[k, l],
-    matching big-endian qubit ordering.
-    """
-    if isinstance(a, Operator) and isinstance(b, Operator):
-        return Operator(np.kron(a.entries, b.entries))
-    if isinstance(a, StateVector) and isinstance(b, StateVector):
-        return StateVector(np.kron(a.amplitudes, b.amplitudes))
-    raise TypeError("tensor requires two operators or two state vectors")
-
-
-def apply(op: Operator, s: StateVector) -> StateVector:
-    """Matrix-vector action op|s>.
-
-    The result is validated as a state, so applying a norm-breaking
-    (non-unitary) operator raises; unitary drift is absorbed silently.
-    """
-    rows, cols = op.entries.shape
-    if cols != s.dim:
-        raise ValueError(f"dimension mismatch: operator is {rows}x{cols}, state has {s.dim}")
-    return StateVector(op.entries @ s.amplitudes)

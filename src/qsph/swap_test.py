@@ -38,15 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .quantum_state import (
-    Operator,
-    StateVector,
-    identity,
-    inner_product,
-    outer_product,
-    pauli_z,
-    tensor,
-)
+from .quantum_state import StateVector, inner_product
 
 DEGENERATE_TOL = 1e-12  # 1 -+ Re<x|y> below this means |u> or |v> is undefined
 
@@ -120,18 +112,19 @@ def build_swap_state(x: StateVector, y: StateVector) -> SwapTestState:
                          v_defined=(1.0 - rho) > DEGENERATE_TOL)
 
 
-def build_rotation_operator(s: SwapTestState) -> Operator:
+def build_rotation_operator(s: SwapTestState) -> np.ndarray:
     """(I - 2|phi><phi|)(Z (x) I): ancilla flip, then reflection across |phi>.
 
-    Unitary of size 2d x 2d; rotates span{|0>|u>, |1>|v>} by 2 theta, so its
-    restricted eigenvalues are e^{+-2i theta}. The reflection must carry this
-    sign: negating it yields -R, whose eigenphases sit at pi +- 2 theta and
-    would corrupt any angle read off the spectrum.
+    A complex unitary (2d, 2d) matrix, ancilla qubit first; it rotates
+    span{|0>|u>, |1>|v>} by 2 theta, so its restricted eigenvalues are
+    e^{+-2i theta}. The reflection must carry this sign: negating it yields
+    -R, whose eigenphases sit at pi +- 2 theta and would corrupt any angle
+    read off the spectrum.
     """
-    dim = 2 * s.d
-    reflection = np.eye(dim) - 2.0 * outer_product(s.phi, s.phi).entries
-    ancilla_flip = tensor(pauli_z(), identity(s.d)).entries
-    return Operator(reflection @ ancilla_flip)
+    phi = s.phi.amplitudes
+    reflection = np.eye(2 * s.d) - 2.0 * np.outer(phi, phi.conj())
+    ancilla_flip = np.kron(np.diag([1.0, -1.0]), np.eye(s.d))
+    return reflection @ ancilla_flip
 
 
 def rotation_eigenpairs(s: SwapTestState) -> tuple[tuple[complex, complex],
@@ -150,7 +143,7 @@ def rotation_eigenpairs(s: SwapTestState) -> tuple[tuple[complex, complex],
     lam_plus = complex(np.exp(2j * s.theta))
     lam_minus = complex(np.exp(-2j * s.theta))
 
-    rot = build_rotation_operator(s).entries
+    rot = build_rotation_operator(s)
     for lam, w in ((lam_plus, w_plus), (lam_minus, w_minus)):
         residual = np.linalg.norm(rot @ w.amplitudes - lam * w.amplitudes)
         if residual > 1e-10:

@@ -164,7 +164,7 @@ def test_criterion_6_swap_test_identities(capsys):
         p0, _ = s.block_probabilities()
         worst_p0 = max(worst_p0, abs(p0 - (1.0 + rho) / 2.0))
 
-        g = build_rotation_operator(s).entries
+        g = build_rotation_operator(s)
         gram_defect = np.max(np.abs(g.conj().T @ g - np.eye(2 * d)))
         worst_unitary = max(worst_unitary, float(gram_defect))
 

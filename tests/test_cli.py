@@ -142,6 +142,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ["run", "--h", "1e6"],
     ["run", "--boundary-particles", "10000000000"],
     ["sweep", "--h", "0.125", "--m-max", "16"],
+    # about 1e303 ghosts per end, named in short form
+    ["run", "--h", "1e300"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -279,6 +281,20 @@ def test_layouts_that_reach_the_largest_double(capsys, command, domain):
     out, err = capsys.readouterr()
     assert out == ""
     assert "numerical failure: all-zero samples" in err
+
+
+@pytest.mark.parametrize("command", [["run", "--qubits", "4"], ["sweep", "--m-max", "5"]])
+@pytest.mark.parametrize("points", [2 ** 50, 2 ** 62])
+def test_more_query_points_than_fit_exit_2_naming_eval_points(tmp_path, capsys, command,
+                                                              points):
+    # neither allocates: 2^50 doubles, 8 PiB, exceed the user address space,
+    # and 2^62 is past the config's bound of 2^53
+    out = tmp_path / "table.csv"
+    assert cli.main([*command, "--points", str(points), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == ""
+    assert err.startswith("config error: eval_points: ") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, code", [

@@ -249,10 +249,22 @@ def test_config_accepts_a_domain_pair():
     ({"boundary_particles": 10 ** 10}, "boundary_particles"),
     ({"qubits": 16, "boundary_particles": 2 ** 15 + 1}, "boundary_particles"),
     ({"qubits": 16, "smoothing_length": 0.125}, "smoothing_length"),
+    ({"eval_points": 2 ** 53 + 1}, "eval_points"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):
         ExperimentConfig(**kwargs)
+
+
+@pytest.mark.parametrize("h, count", [(1e300, "about 6.4e+301"), (1e20, "about 6.4e+21"),
+                                      (1e6, "64000001")])
+def test_a_derived_ghost_count_past_2_53_is_named_to_three_digits(h, count):
+    # its full digits, 302 of them at h = 1e300, are those of a rounded double
+    with pytest.raises(ConfigError) as info:
+        ExperimentConfig(qubits=4, smoothing_length=h)
+    message = str(info.value)
+    assert message.startswith(f"smoothing_length: 2^4 particles and {count} ghosts per end")
+    assert len(message) < 130
 
 
 @pytest.mark.parametrize("kwargs, field", [

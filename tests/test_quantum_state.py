@@ -1,4 +1,4 @@
-"""State-vector algebra: normalization, products, tensor structure, apply."""
+"""State-vector reference: normalization, norm enforcement, inner products, basis states."""
 import math
 
 import numpy as np
@@ -6,19 +6,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from qsph.quantum_state import (
-    NORM_ATOL,
-    Operator,
-    StateVector,
-    apply,
-    basis_state,
-    identity,
-    inner_product,
-    normalize,
-    outer_product,
-    pauli_z,
-    tensor,
-)
+from qsph.quantum_state import NORM_ATOL, StateVector, basis_state, inner_product, normalize
 
 
 def test_normalize_already_unit():
@@ -116,96 +104,6 @@ def test_inner_product_conjugate_symmetry():
 def test_inner_product_dimension_mismatch():
     with pytest.raises(ValueError):
         inner_product(basis_state(2, 0), basis_state(4, 0))
-
-
-def test_outer_product_projectors():
-    z0 = basis_state(2, 0)
-    z1 = basis_state(2, 1)
-    np.testing.assert_array_equal(outer_product(z0, z0).entries, [[1, 0], [0, 0]])
-    np.testing.assert_array_equal(outer_product(z1, z0).entries, [[0, 0], [1, 0]])
-
-
-def test_outer_product_rank_one_projector():
-    v, _ = normalize([0.6, 0.8])
-    p = outer_product(v, v).entries
-    assert np.trace(p) == pytest.approx(1.0, rel=1e-15)
-    np.testing.assert_allclose(p @ p, p, rtol=0, atol=1e-15)          # idempotent
-    np.testing.assert_allclose(p, p.conj().T, rtol=0, atol=0)         # Hermitian
-
-
-def test_outer_product_rectangular():
-    v = basis_state(3, 0)
-    u = basis_state(2, 1)
-    op = outer_product(v, u)
-    assert op.shape == (3, 2)
-    assert not op.is_unitary()
-
-
-def test_tensor_operator_cases():
-    zi = tensor(pauli_z(), identity(2))
-    np.testing.assert_array_equal(zi.entries, np.diag([1, 1, -1, -1]))
-    iz = tensor(identity(2), pauli_z())
-    np.testing.assert_array_equal(iz.entries, np.diag([1, -1, 1, -1]))
-
-
-def test_tensor_state_cases():
-    s = tensor(basis_state(2, 0), basis_state(2, 1))
-    np.testing.assert_array_equal(s.amplitudes, [0, 1, 0, 0])
-
-
-def test_tensor_associativity():
-    rng = np.random.default_rng(3)
-    a = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    b = Operator(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
-    c = Operator(rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-    left = tensor(tensor(a, b), c).entries
-    right = tensor(a, tensor(b, c)).entries
-    # products of three entries associate only up to a final rounding
-    np.testing.assert_allclose(left, right, rtol=1e-15)
-
-
-def test_tensor_rejects_mixed_kinds():
-    with pytest.raises(TypeError):
-        tensor(pauli_z(), basis_state(2, 0))
-
-
-def test_apply_pauli_z():
-    z1 = basis_state(2, 1)
-    out = apply(pauli_z(), z1)
-    np.testing.assert_array_equal(out.amplitudes, [0, -1])
-
-
-def test_apply_identity_and_diagonal_action():
-    s = basis_state(4, 2)
-    np.testing.assert_array_equal(apply(identity(4), s).amplitudes, s.amplitudes)
-    out = apply(tensor(pauli_z(), identity(2)), s)
-    np.testing.assert_array_equal(out.amplitudes, [0, 0, -1, 0])
-
-
-def test_apply_dimension_mismatch():
-    with pytest.raises(ValueError):
-        apply(pauli_z(), basis_state(4, 0))
-
-
-def test_apply_rejects_norm_breaking_operator():
-    shrink = Operator(0.5 * np.eye(2, dtype=complex))
-    with pytest.raises(ValueError):
-        apply(shrink, basis_state(2, 0))
-
-
-def test_unitary_application_preserves_norm():
-    rng = np.random.default_rng(11)
-    q, _ = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))
-    u = Operator(q)
-    assert u.is_unitary()
-    s, _ = normalize(rng.normal(size=8) + 1j * rng.normal(size=8))
-    out = apply(u, s)
-    assert abs(np.vdot(out.amplitudes, out.amplitudes).real - 1.0) < 1e-12
-
-
-def test_is_unitary():
-    assert pauli_z().is_unitary()
-    assert not Operator(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex)).is_unitary()
 
 
 def test_basis_state_bounds():

@@ -18,7 +18,7 @@ request, never from here:
 
 quantum_state  -- dense unit state vectors and inner products
 registers      -- the |a>, |W> states and the reconstruction identity
-swap_test      -- overlap readout (exact / sampled / phase-quantized)
+swap_test      -- the combined swap-test state and the rotation operator R
 """
 from .discretization import DiscretisationError, Domain, sample_points
 from .harness import (

@@ -111,11 +111,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config_file(path: str, keys: dict[str, str]) -> dict:
-    """The file's settings, keyed by dest."""
-    with open(path) as fh:
+    """The file's settings, keyed by dest. JSON text is UTF-8 (RFC 8259), so
+    the file is read as UTF-8 whatever the locale."""
+    with open(path, encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        # bad JSON or UTF-8, an integer past Python's digit limit for int(),
+        # or arrays nested past the recursion limit
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"config file {path}: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path}: top level must be a JSON object")

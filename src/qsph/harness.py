@@ -199,7 +199,10 @@ class ExperimentConfig:
             except (TypeError, ValueError):
                 raise ConfigError(
                     f"domain: expected a Domain or two endpoints, got {self.domain!r}") from None
-            setfield("domain", Domain(_finite_real("domain", a), _finite_real("domain", b)))
+            a, b = _finite_real("domain", a), _finite_real("domain", b)
+            if not a < b:
+                raise ConfigError(f"domain: requires a < b, got [{a!r}, {b!r}]")
+            setfield("domain", Domain(a, b))
         if self.smoothing_length is not None:
             setfield("smoothing_length",
                      _finite_real("smoothing_length", self.smoothing_length, 0.0))
@@ -308,10 +311,17 @@ def shot_counts(p0: np.ndarray, shots: int, base_seed: int) -> np.ndarray:
 
 
 def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
-    """Grid index k of the quantized angle per point, as ``estimate_phase``.
+    """Grid index k of the quantized angle per point: an idealized
+    phase-estimation readout with an angle register of n = pe_qubits qubits.
 
     theta in [0, pi/2] with sin^2 theta = (1 + rho) / 2 snaps to the nearest
-    k pi / 2^n, ties toward the smaller k.
+    k pi / 2^n, k in {0, ..., 2^n - 1}, ties toward the smaller k, so the
+    quantized angle is within pi / 2^{n+1} of theta. The overlap read out of
+    it in doubles, 2 sin^2(k pi / 2^n) - 1, can exceed the matching bound
+    2 sin(pi / 2^{n+1}) by rounding, up to 1e-3 of that bound at 40 angle
+    qubits, the cap of ``ExperimentConfig.pe_qubits``. Phase estimation is a
+    black box with exactly this accuracy: no circuit is simulated, and the
+    success probability of a real phase-estimation run is not modelled.
     """
     theta = np.arctan2(np.sqrt(1.0 + rho), np.sqrt(1.0 - rho))
     grid = 2 ** pe_qubits
@@ -396,9 +406,9 @@ def run_experiment(config: ExperimentConfig) -> Curve:
     not depend on x, so its norm is computed once, and only for a readout
     that uses it. The exact values come from one array call of
     ``target_function``; no per-point object is built. The results equal
-    what the dense registers of ``registers.encode`` and the ``swap_test``
-    estimators give, up to rounding; the tests check that they do. Neither
-    module is imported here.
+    what the dense registers of ``registers.encode`` and the swap-test state
+    of ``swap_test`` give, up to rounding; the tests check that they do.
+    Neither module is imported here.
     """
     xs = sample_points(config.domain, config.eval_points)
     sums, coeff = _direct_sums(config, xs)

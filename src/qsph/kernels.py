@@ -42,13 +42,16 @@ class KernelFamily(enum.Enum):
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family, derivative order (0, 1 or 2) and smoothing length."""
+    """Kernel family (a KernelFamily or its name), derivative order (0, 1
+    or 2) and smoothing length."""
 
     family: KernelFamily
     derivative_order: int
     h: float
 
     def __post_init__(self):
+        # a name becomes its member, which evaluate and scaling_constant test by identity
+        object.__setattr__(self, "family", KernelFamily(self.family))
         if self.derivative_order not in DERIVATIVE_ORDERS:
             raise ValueError(f"derivative_order must be 0, 1 or 2, got {self.derivative_order}")
         if not self.h > 0.0:

@@ -1,4 +1,4 @@
-"""Swap-test machinery for reading out Re <x|y> from two register states.
+"""The dense swap-test state and its rotation operator, for two register states.
 
 For unit states |x>, |y> of dimension d the combined state
 
@@ -16,21 +16,10 @@ eigenvalues e^{+-2i theta}; phase estimation on R therefore recovers theta
 directly. (The overall sign matters: the oppositely signed product
 (2|phi><phi| - I)(Z (x) I) is -R and carries eigenvalues -e^{+-2i theta},
 which would shift every eigenphase by pi and offset the angle readout.)
-Three estimators are provided:
 
-* exact     -- computes Re <x|y> from the amplitudes (baseline / oracle),
-* sampled   -- draws the ancilla |0> count of all shots as one
-               Binomial(shots, p0) variate from a Philox stream keyed by
-               the seed, reproducible for a fixed seed and numpy version,
-* phase     -- an idealized phase-estimation quantizer: snaps theta to the
-               nearest grid point k pi / 2^n, so the quantized angle is
-               within pi / 2^{n+1} of theta. The overlap read out of it
-               in doubles can exceed the matching bound 2 sin(pi / 2^{n+1})
-               by rounding, up to 1e-3 of that bound at 40 angle qubits.
-
-The quantizer models phase estimation as a black box with exactly its
-accuracy contract; no gate-level circuit is simulated, and the success
-probability delta of a real phase-estimation run is not modelled.
+This is the reference the tests check the run path against; no run imports
+it. Each readout rule exists once, in ``harness``: ``shot_counts`` draws the
+ancilla |0> counts and ``phase_index`` quantizes theta.
 """
 from __future__ import annotations
 
@@ -77,24 +66,6 @@ class SwapTestState:
         if not self.v_defined:
             raise ValueError("|v> is undefined: the states coincide (y = x)")
         return StateVector(self.phi.amplitudes[self.d:] / np.cos(self.theta))
-
-
-@dataclass(frozen=True)
-class EstimationResult:
-    """An estimate of Re <x|y> with its method and error metadata.
-
-    method is one of "exact", "sampled", "phase". Sampled results carry
-    (shots, seed); phase-estimated results carry the register size n_pe,
-    the quantized angle and the worst-case angle error pi / 2^{n_pe + 1}.
-    """
-
-    method: str
-    estimate: float
-    shots: int | None = None
-    seed: int | None = None
-    n_pe: int | None = None
-    theta_estimate: float | None = None
-    error_bound: float | None = None
 
 
 def build_swap_state(x: StateVector, y: StateVector) -> SwapTestState:
@@ -149,53 +120,3 @@ def rotation_eigenpairs(s: SwapTestState) -> tuple[tuple[complex, complex],
         if residual > 1e-10:
             raise AssertionError(f"eigenpair residual {residual:.3e} exceeds 1e-10")
     return (lam_plus, lam_minus), (w_plus, w_minus)
-
-
-def estimate_exact(x: StateVector, y: StateVector) -> EstimationResult:
-    """Direct Re <x|y>, bypassing any measurement model."""
-    estimate = inner_product(x, y).real
-    return EstimationResult("exact", min(1.0, max(-1.0, estimate)))
-
-
-def estimate_sampled(x: StateVector, y: StateVector, shots: int,
-                     seed: int = 0) -> EstimationResult:
-    """Shot-sampled ancilla readout: estimate = 2 (count of |0>) / shots - 1.
-
-    The shots are independent trials with the same p0, so the count of |0>
-    is one Binomial(shots, p0) draw from a Philox stream keyed by the seed:
-    bit-identical for a given seed and numpy version.
-    """
-    if shots < 1:
-        raise ValueError("shots must be positive")
-    s = build_swap_state(x, y)
-    p0, _ = s.block_probabilities()
-    p0 = min(1.0, max(0.0, p0))  # the block sum can exceed 1 by an ulp
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    count0 = int(rng.binomial(shots, p0))
-    estimate = 2.0 * count0 / shots - 1.0
-    return EstimationResult("sampled", min(1.0, max(-1.0, estimate)),
-                            shots=shots, seed=seed)
-
-
-def estimate_phase(x: StateVector, y: StateVector, n_pe: int) -> EstimationResult:
-    """Idealized phase-estimation readout with an n_pe-qubit angle register.
-
-    The true theta is snapped to the nearest point of the grid k pi / 2^n,
-    k in {0, ..., 2^n - 1}, ties toward the smaller k, so the quantized
-    angle is within half the grid spacing, pi / 2^{n+1}, of theta. The
-    overlap estimate is 2 sin^2(theta_quantized) - 1; computed in doubles,
-    its error can exceed the matching bound 2 sin(pi / 2^{n+1}) by rounding
-    (a few ulp of 1, growing as 2^n relative to the bound), up to 1e-3 of
-    that bound at n_pe = 40, the cap of ExperimentConfig.pe_qubits.
-    """
-    if n_pe < 1:
-        raise ValueError("phase register needs at least one qubit")
-    s = build_swap_state(x, y)
-    grid = 2 ** n_pe
-    k = int(np.ceil(s.theta * grid / np.pi - 0.5))  # ties round down
-    k = min(max(k, 0), grid - 1)
-    theta_est = k * np.pi / grid
-    estimate = 2.0 * np.sin(theta_est) ** 2 - 1.0
-    return EstimationResult("phase", min(1.0, max(-1.0, float(estimate))),
-                            n_pe=n_pe, theta_estimate=float(theta_est),
-                            error_bound=float(np.pi / 2 ** (n_pe + 1)))

@@ -114,6 +114,23 @@ def test_bad_config_files_exit_2(tmp_path, capsys, content, fragment):
     assert fragment in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", [
+    '{"qubits": 4}'.encode("utf-16"),  # starts with the bytes ff fe
+    b'\xff\xfe{"qubits": 4}',  # not UTF-8, though the rest is ASCII JSON
+    b'{"seed": ' + b"9" * 5000 + b"}",  # past int()'s default 4300-digit limit
+    b"[" * 100_000,  # nested past the recursion limit
+], ids=["utf-16", "ff-fe-ascii", "5000-digits", "deep-nesting"])
+def test_undecodable_config_files_exit_2(tmp_path, capsys, content):
+    cfg = tmp_path / "exp.json"
+    cfg.write_bytes(content)
+    out = tmp_path / "curve.csv"
+    assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config file {cfg}: ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_missing_config_file_exits_2(tmp_path, capsys):
     assert cli.main(["run", "--config", str(tmp_path / "absent.json")]) == 2
     assert "config error" in capsys.readouterr().err

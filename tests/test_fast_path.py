@@ -3,8 +3,10 @@
 ``run_experiment`` reads every overlap from the direct sums of
 ``kernel_sums`` and never builds a register. These tests check that the
 closed forms it uses agree with the dense states of ``registers.encode``
-and the ``swap_test`` estimators, and that its exact readout is the direct
-sum.
+and the swap-test state of ``swap_test``, and that its exact readout is the
+direct sum. The run's ``shot_counts`` and ``phase_index`` are checked against
+counts and grid indices derived here from the dense state, never against
+themselves.
 """
 import math
 
@@ -31,11 +33,17 @@ from qsph.sph_encoding import (
     kernel_sums,
     register_length,
 )
-from qsph.swap_test import build_swap_state, estimate_phase
+from qsph.swap_test import build_swap_state
 from test_discretization import edge_layout
 
 DOMAIN = Domain(-1.0, 1.0)
 TIE_TOL = 1e-12  # angles this close to a grid midpoint may snap either way
+
+
+def _nearest_grid_index(theta: float, grid: int) -> int:
+    """The k of the grid angle k pi / grid nearest theta, ties toward the
+    smaller k, for k in {0, ..., grid - 1}."""
+    return min(max(math.ceil(theta * grid / math.pi - 0.5), 0), grid - 1)
 
 
 def _uniform_layout(cells, ghosts):
@@ -120,8 +128,7 @@ def test_closed_forms_match_the_dense_registers(layout, family, order, h, bounda
         assert abs(k[j] * math.pi / grid - swap.theta) <= math.pi / (2 * grid) + TIE_TOL
         offset = swap.theta * grid / math.pi - 0.5
         if abs(offset - round(offset)) * math.pi / grid > TIE_TOL:
-            phase = estimate_phase(pair.state_a, pair.state_w, pe_qubits)
-            assert k[j] * math.pi / grid == phase.theta_estimate
+            assert k[j] == _nearest_grid_index(swap.theta, grid)
 
 
 def test_coefficient_norm_matches_build_a_without_the_register():
@@ -190,7 +197,11 @@ def _dense_run(cfg: ExperimentConfig) -> list[float]:
             count0 = g.binomial(cfg.shots, min(1.0, max(0.0, p0)))
             estimate = min(1.0, max(-1.0, 2.0 * count0 / cfg.shots - 1.0))
         else:
-            estimate = estimate_phase(pair.state_a, pair.state_w, cfg.pe_qubits).estimate
+            # the nearest grid angle to the dense theta, as phase_index snaps it
+            grid = 2 ** cfg.pe_qubits
+            theta = build_swap_state(pair.state_a, pair.state_w).theta
+            theta_k = _nearest_grid_index(theta, grid) * np.pi / grid
+            estimate = min(1.0, max(-1.0, 2.0 * np.sin(theta_k) ** 2 - 1.0))
         out.append(reconstruct(pair, overlap_real=estimate))
     return out
 

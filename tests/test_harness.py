@@ -250,6 +250,8 @@ def test_config_accepts_a_domain_pair():
     ({"qubits": 16, "boundary_particles": 2 ** 15 + 1}, "boundary_particles"),
     ({"qubits": 16, "smoothing_length": 0.125}, "smoothing_length"),
     ({"eval_points": 2 ** 53 + 1}, "eval_points"),
+    ({"domain": (1.0, 0.0)}, "domain"),
+    ({"domain": (1.0, 1.0)}, "domain"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=field):

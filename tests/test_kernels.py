@@ -21,6 +21,17 @@ def test_spec_validation():
         KernelSpec(WENDLAND, 0, 0.0)
     with pytest.raises(ValueError):
         KernelSpec(WENDLAND, 0, -2.0)
+    with pytest.raises(ValueError, match="splurge"):
+        KernelSpec("splurge", 0, 1.0)
+
+
+@pytest.mark.parametrize("family", list(KernelFamily))
+def test_spec_takes_a_family_name(family):
+    spec = KernelSpec(family.value, 0, 1.0)
+    assert spec.family is family
+    assert spec == KernelSpec(family, 0, 1.0)
+    assert evaluate(spec, 0.5) == evaluate(KernelSpec(family, 0, 1.0), 0.5)
+    assert scaling_constant(spec) == scaling_constant(KernelSpec(family, 0, 1.0))
 
 
 def test_gaussian_peak_value():

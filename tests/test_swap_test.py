@@ -1,19 +1,13 @@
-"""Combined-state construction, the rotation operator, and the estimators."""
+"""Combined-state construction, the rotation operator, and the run's two
+readout rules, ``shot_counts`` and ``phase_index``, against the dense state."""
 import math
 
 import numpy as np
 import pytest
 
+from qsph.harness import phase_index, shot_counts
 from qsph.quantum_state import StateVector, basis_state, inner_product, normalize
-from qsph.swap_test import (
-    EstimationResult,
-    build_rotation_operator,
-    build_swap_state,
-    estimate_exact,
-    estimate_phase,
-    estimate_sampled,
-    rotation_eigenpairs,
-)
+from qsph.swap_test import build_rotation_operator, build_swap_state, rotation_eigenpairs
 
 
 def random_pair(rng, d=6):
@@ -144,100 +138,40 @@ def test_repeated_rotation_closed_form():
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-8)
 
 
-def test_estimate_exact_basis_cases():
-    z0 = basis_state(2, 0)
-    z1 = basis_state(2, 1)
-    assert estimate_exact(z0, z0) == EstimationResult("exact", 1.0)
-    assert estimate_exact(z0, z1) == EstimationResult("exact", 0.0)
+def _phase_readout(rho, n_pe):
+    """2 sin^2(theta_k) - 1 at the grid angle theta_k of ``phase_index``."""
+    theta = phase_index(np.asarray(rho, dtype=float), n_pe) * math.pi / 2 ** n_pe
+    return 2.0 * np.sin(theta) ** 2 - 1.0
 
 
-def test_estimate_exact_matches_inner_product():
-    rng = np.random.default_rng(14)
-    for _ in range(20):
-        x, y = random_pair(rng)
-        r = estimate_exact(x, y)
-        assert r.estimate == inner_product(x, y).real
-        assert -1.0 <= r.estimate <= 1.0
+def test_shot_counts_certain_outcomes():
+    assert shot_counts(np.array([1.0, 0.0]), 77, 3).tolist() == [77, 0]
 
 
-def test_estimate_sampled_certain_outcome():
-    z0 = basis_state(2, 0)
-    r = estimate_sampled(z0, z0, shots=77, seed=3)
-    assert r.estimate == 1.0
-    assert r.method == "sampled" and r.shots == 77 and r.seed == 3
-
-
-def test_estimate_sampled_concentrates():
-    r = estimate_sampled(basis_state(2, 0), basis_state(2, 1), shots=1_000_000, seed=1)
-    assert abs(r.estimate) < 5e-3
-
-
-def test_estimate_sampled_deterministic():
-    rng = np.random.default_rng(15)
-    x, y = random_pair(rng)
-    a = estimate_sampled(x, y, shots=5000, seed=123)
-    b = estimate_sampled(x, y, shots=5000, seed=123)
-    c = estimate_sampled(x, y, shots=5000, seed=124)
-    assert a.estimate == b.estimate
-    assert a.estimate != c.estimate  # different stream, almost surely
-
-
-def test_estimate_sampled_is_one_binomial_draw():
-    rng = np.random.default_rng(18)
-    x, y = random_pair(rng)
-    p0, _ = build_swap_state(x, y).block_probabilities()
-    for shots, seed in ((1, 0), (30, 5), (10_000, 123)):
-        count0 = np.random.Generator(np.random.Philox(key=seed)).binomial(shots, p0)
-        r = estimate_sampled(x, y, shots=shots, seed=seed)
-        assert r.estimate == 2.0 * count0 / shots - 1.0
-
-
-def test_estimate_sampled_clamps_p0_rounded_above_one():
-    # (1, 2, 2) / 3 rounded up in the last bit: the |0> block sums to 1 + 1 ulp
-    x = StateVector(np.array([0.33333333333333337, 0.6666666666666667, 0.6666666666666667]))
-    assert build_swap_state(x, x).block_probabilities()[0] > 1.0
-    assert estimate_sampled(x, x, shots=50, seed=0).estimate == 1.0
-
-
-def test_estimate_sampled_rejects_bad_shots():
-    z0 = basis_state(2, 0)
-    with pytest.raises(ValueError):
-        estimate_sampled(z0, z0, shots=0)
-
-
-def test_estimate_phase_on_grid_is_exact():
+def test_phase_index_on_grid_is_exact():
     # orthogonal pair: theta = pi/4 sits exactly on the n_pe = 2 grid
-    r = estimate_phase(basis_state(2, 0), basis_state(2, 1), n_pe=2)
-    assert r.theta_estimate == pytest.approx(math.pi / 4, rel=0, abs=0)
-    assert abs(r.estimate) < 1e-15
-    assert r.method == "phase" and r.n_pe == 2
-    assert r.error_bound == pytest.approx(math.pi / 8, rel=1e-15)
+    assert phase_index(np.array([0.0]), 2).tolist() == [1]
+    assert abs(_phase_readout([0.0], 2)[0]) < 1e-15
 
 
-def test_estimate_phase_respects_bound():
+def test_phase_index_respects_bound():
     rng = np.random.default_rng(16)
     for _ in range(20):
         x, y = random_pair(rng, d=4)
-        s = build_swap_state(x, y)
+        theta = build_swap_state(x, y).theta
         for n_pe in (1, 3, 6, 10):
-            r = estimate_phase(x, y, n_pe)
-            assert abs(r.theta_estimate - s.theta) <= math.pi / 2 ** (n_pe + 1)
+            k = phase_index(np.array([inner_product(x, y).real]), n_pe)[0]
+            assert abs(k * math.pi / 2 ** n_pe - theta) <= math.pi / 2 ** (n_pe + 1)
 
 
-def test_estimate_phase_error_shrinks_with_register():
+def test_phase_index_error_shrinks_with_register():
     rng = np.random.default_rng(17)
     x, y = random_pair(rng, d=4)
-    exact = estimate_exact(x, y).estimate
-    errors = [abs(estimate_phase(x, y, n).estimate - exact) for n in range(2, 13)]
+    exact = inner_product(x, y).real
+    errors = [abs(_phase_readout([exact], n)[0] - exact) for n in range(2, 13)]
     bounds = [math.pi / 2 ** (n + 1) for n in range(2, 13)]
     # each quantization error respects its bound, and refining the register
     # pays off by a large factor across the sweep
     for err, bound in zip(errors, bounds):
         assert err <= 2.0 * bound  # estimate error <= 2 |sin| angle error
     assert errors[-1] < errors[0] / 50.0
-
-
-def test_estimate_phase_rejects_bad_register():
-    z0 = basis_state(2, 0)
-    with pytest.raises(ValueError):
-        estimate_phase(z0, z0, n_pe=0)

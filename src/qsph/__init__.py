@@ -20,7 +20,6 @@ quantum_state  -- dense unit state vectors and inner products
 registers      -- the |a>, |W> states and the reconstruction identity
 swap_test      -- the combined swap-test state and the rotation operator R
 """
-from .discretization import DiscretisationError, Domain, sample_points
 from .harness import (
     ConfigError,
     Curve,
@@ -39,8 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ConfigError",
     "Curve",
-    "DiscretisationError",
-    "Domain",
     "ExperimentConfig",
     "KernelFamily",
     "KernelSpec",
@@ -50,7 +47,6 @@ __all__ = [
     "rms_error",
     "run_convergence_sweep",
     "run_experiment",
-    "sample_points",
     "scaling_constant",
     "target_function",
 ]

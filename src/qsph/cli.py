@@ -24,7 +24,6 @@ import sys
 from contextlib import nullcontext
 
 from . import harness  # its writers, looked up per call: bench/tracing.py wraps them
-from .discretization import DiscretisationError
 from .harness import (
     BOUNDARY_MODES,
     ESTIMATORS,
@@ -60,7 +59,7 @@ def _common_flags(p: argparse.ArgumentParser, d: ExperimentConfig) -> list[argpa
         p.add_argument("--points", dest="eval_points", type=int, metavar="POINTS",
                        help=f"number of query points (default {d.eval_points})"),
         p.add_argument("--domain", type=float, nargs=2, metavar=("A", "B"),
-                       help=f"interval [A, B] (default {d.domain.a} {d.domain.b})"),
+                       help=f"interval [A, B] (default {d.domain[0]} {d.domain[1]})"),
         p.add_argument("--boundary-particles", type=int,
                        help="ghost particles per end (default derived from the kernel support)"),
         p.add_argument("--h", dest="smoothing_length", type=float, metavar="H",
@@ -154,19 +153,19 @@ def _write(out: str | None, write, *args) -> int:
     closed early (``| head``), which ends the run quietly. A partial out
     file is removed; stdout goes to os.devnull for the interpreter's last
     flush."""
-    dest = open(out, "w", newline="") if out else nullcontext(sys.stdout)
+    dest = nullcontext(sys.stdout) if out is None else open(out, "w", newline="")
     try:
         with dest as fh:
             write(fh, *args)
             fh.flush()
     except OSError as exc:
-        if not out:
+        if out is None:
             with open(os.devnull, "w") as devnull:
                 os.dup2(devnull.fileno(), sys.stdout.fileno())
         elif os.path.isfile(out):  # never a device such as /dev/full
             os.remove(out)
         if not isinstance(exc, BrokenPipeError):
-            print(f"write error: {out or 'stdout'}: {exc}", file=sys.stderr)
+            print(f"write error: {'stdout' if out is None else out}: {exc}", file=sys.stderr)
         return EXIT_WRITE
     return EXIT_OK
 
@@ -184,7 +183,7 @@ def main(argv=None) -> int:
         if command == "run":
             return _cmd_run(settings, out)
         return _cmd_sweep(settings, out)
-    except (ConfigError, DiscretisationError, OSError) as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     # the layout and the CSV blocks are bounded; only the query points are not

@@ -21,13 +21,14 @@ import csv
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
 
 from ._g17 import csv_lines
-from .discretization import Domain, sample_points, uniform_positions
+from .discretization import uniform_positions
 from .kernels import (
     DERIVATIVE_ORDERS,
     KernelFamily,
@@ -129,7 +130,8 @@ def _finite_real(name: str, value, above: float = -math.inf) -> float:
             return float(value)
     except (TypeError, OverflowError):  # not a real number, or an int beyond the doubles
         pass
-    raise ConfigError(f"{name}: expected a finite number above {above}, got {value!r}")
+    bound = f" above {above}" if above > -math.inf else ""
+    raise ConfigError(f"{name}: expected a finite number{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,34 +141,35 @@ class ExperimentConfig:
     A bad value raises ConfigError naming the field. kernel: a KernelFamily
     or its name. derivative_order: int in DERIVATIVE_ORDERS. qubits: int in
     [2, 16]; a run never builds the 2^m registers, but the dense states the
-    tests check it against are O(2^m). domain: a Domain or an (a, b) pair of
-    finite reals, a < b. eval_points: int in [2, 2^53]. norm_mode, estimator,
-    boundary_values: one of NORM_MODES, ESTIMATORS, BOUNDARY_MODES. shots:
-    int in [1, 2^63 - 1]; seed: in [0, 2^128 - 1]; pe_qubits: in [1, 40],
-    beyond which double rounding of the angle outgrows the phase readout's
-    bound; only their estimator reads them. smoothing_length: finite
-    float > 0, or None for the rule h = 2 dx, with dx = domain length /
-    2^qubits (that is 4 / 2^qubits on [-1, 1]). boundary_particles:
-    int >= 1, or None for ceil(support_radius / dx) + 1 per end (17
-    Gaussian, 5 Wendland at the default h, on any domain), so no query
-    point's support leaves the particles; a sweep keeps either one if set.
-    support_radius / dx must be finite, every power of h that the kernel
-    or c divides by must be a normal double (``divides_by_normal_powers``;
-    the error names domain when h is the derived 2 dx), the particles and
-    ghosts together must fit twice the largest register, 2^17, and dx must
-    exceed the rounding of the particle coordinates (about 8 ulps of the
-    farthest one, which must not overflow), so every particle is distinct.
+    tests check it against are O(2^m). domain: an (a, b) pair of finite
+    reals, a < b, kept as a tuple of two floats. eval_points: int in
+    [2, 2^53]. norm_mode, estimator, boundary_values: one of NORM_MODES,
+    ESTIMATORS, BOUNDARY_MODES. shots: int in [1, 2^63 - 1]; seed: in
+    [0, 2^128 - 1]; pe_qubits: in [1, 40], beyond which double rounding of
+    the angle outgrows the phase readout's bound; only their estimator reads
+    them. smoothing_length: finite float > 0, or None for the rule h = 2 dx,
+    with dx = (b - a) / 2^qubits (that is 4 / 2^qubits on [-1, 1]).
+    boundary_particles: int >= 1, or None for ceil(support_radius / dx) + 1
+    per end (17 Gaussian, 5 Wendland at the default h, on any domain), so no
+    query point's support leaves the particles; a sweep keeps either one if
+    set. support_radius / dx must be finite and every power of h that the
+    kernel or c divides by must be a normal double
+    (``divides_by_normal_powers``); both errors name domain when h is the
+    derived 2 dx. The particles and ghosts together must fit twice the
+    largest register, 2^17, and dx must exceed the rounding of the particle
+    coordinates (about 8 ulps of the farthest one, which must not overflow),
+    so every particle is distinct.
 
     The checks derive the layout, and the config keeps it as attributes
     that are not arguments and not part of its repr, == or hash:
-    num_particles = 2^qubits, dx = domain length / num_particles, h,
+    num_particles = 2^qubits, dx = (b - a) / num_particles, h,
     kernel_spec (the kernel at h) and ghosts_per_end.
     """
 
     kernel: KernelFamily = KernelFamily.GAUSSIAN
     derivative_order: int = 0
     qubits: int = 8
-    domain: Domain = Domain(-1.0, 1.0)
+    domain: tuple[float, float] = (-1.0, 1.0)
     eval_points: int = 300
     boundary_particles: int | None = None
     smoothing_length: float | None = None
@@ -193,16 +196,17 @@ class ExperimentConfig:
             value = getattr(self, name)
             if value is not None or name != "boundary_particles":
                 setfield(name, _integer(name, value, lo, hi))
-        if not isinstance(self.domain, Domain):
-            try:
-                a, b = self.domain
-            except (TypeError, ValueError):
-                raise ConfigError(
-                    f"domain: expected a Domain or two endpoints, got {self.domain!r}") from None
-            a, b = _finite_real("domain", a), _finite_real("domain", b)
-            if not a < b:
-                raise ConfigError(f"domain: requires a < b, got [{a!r}, {b!r}]")
-            setfield("domain", Domain(a, b))
+        try:
+            # a string's characters or a mapping's keys would unpack as well
+            if isinstance(self.domain, (str, bytes, bytearray, Mapping)):
+                raise TypeError
+            a, b = self.domain
+        except (TypeError, ValueError):
+            raise ConfigError(f"domain: expected two endpoints, got {self.domain!r}") from None
+        a, b = _finite_real("domain", a), _finite_real("domain", b)
+        if not a < b:
+            raise ConfigError(f"domain: requires a < b, got [{a!r}, {b!r}]")
+        setfield("domain", (a, b))
         if self.smoothing_length is not None:
             setfield("smoothing_length",
                      _finite_real("smoothing_length", self.smoothing_length, 0.0))
@@ -212,17 +216,18 @@ class ExperimentConfig:
                 raise ConfigError(
                     f"{name}: must be one of {allowed}, got {getattr(self, name)!r}")
         n = 2 ** self.qubits
-        dx, (a, b) = self.domain.length / n, (self.domain.a, self.domain.b)
+        dx = (b - a) / n
         if not 0.0 < dx < math.inf:
             raise ConfigError(f"domain: [{a!r}, {b!r}] gives 2^{self.qubits} particles "
                               f"the spacing dx = {dx!r}")
         h = 2.0 * dx if self.smoothing_length is None else self.smoothing_length
         spec = KernelSpec(self.kernel, self.derivative_order, h)
+        # a derived h is the domain's, so the domain is the field to change
+        name = "smoothing_length" if self.smoothing_length is not None else "domain"
         if not math.isfinite(spec.support_radius / dx):
-            raise ConfigError(f"smoothing_length: h = {h!r} must span a finite number of "
-                              f"particle spacings, got dx = {dx!r} on the domain")
+            raise ConfigError(f"{name}: h = {h!r} must span a finite number of "
+                              f"particle spacings, got dx = {dx!r}")
         if not divides_by_normal_powers(spec):
-            name = "smoothing_length" if self.smoothing_length is not None else "domain"
             raise ConfigError(f"{name}: h = {h!r} does not suit the {self.kernel.value} "
                               f"kernel of order {self.derivative_order}: a power of h that it "
                               f"divides by is 0, subnormal or beyond the doubles")
@@ -410,7 +415,7 @@ def run_experiment(config: ExperimentConfig) -> Curve:
     of ``swap_test`` give, up to rounding; the tests check that they do.
     Neither module is imported here.
     """
-    xs = sample_points(config.domain, config.eval_points)
+    xs = np.linspace(*config.domain, config.eval_points)
     sums, coeff = _direct_sums(config, xs)
     approx = _readout(config.estimator, config, sums, coeff)
     return Curve(xs, target_function(xs, config.derivative_order), approx)
@@ -470,7 +475,7 @@ def run_convergence_sweep(base: ExperimentConfig,
     if ms != sorted(set(ms)):
         raise ValueError("m_values must be strictly ascending")
     configs = [replace(base, qubits=m) for m in ms]
-    xs = sample_points(base.domain, base.eval_points)
+    xs = np.linspace(*base.domain, base.eval_points)
     exact = target_function(xs, base.derivative_order)
     entries = []
     for c in configs:
@@ -580,7 +585,7 @@ def decompose_error(config: ExperimentConfig) -> ErrorDecomposition:
     configured norm and the configured estimator from them, differencing
     each stage against the previous one.
     """
-    xs = sample_points(config.domain, config.eval_points)
+    xs = np.linspace(*config.domain, config.eval_points)
     sums, coeff = _direct_sums(config, xs)
     truth = target_function(xs, config.derivative_order)
     base = sums  # the exact readout with the exact norm is S itself

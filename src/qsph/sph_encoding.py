@@ -29,7 +29,6 @@ from typing import Callable
 
 import numpy as np
 
-from .discretization import Domain
 from .kernels import KernelSpec, evaluate, scaling_constant
 
 # most kernel values kernel_sums evaluates at once: 64 KB per float64
@@ -85,7 +84,7 @@ def coefficient_norm(coeff: np.ndarray) -> float:
     return math.ldexp(math.sqrt(np.multiply(scaled, scaled, out=scaled).sum()), exponent)
 
 
-def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray],
+def integral_norm_estimate(domain: tuple[float, float], f: Callable[[np.ndarray], np.ndarray],
                            n_subintervals: int, quadrature_points: int = 1001) -> float:
     """Integral approximation of ||a|| for a uniform N-subinterval grid:
 
@@ -98,7 +97,8 @@ def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray]
         raise ValueError("need at least 2 quadrature points")
     if n_subintervals < 1:
         raise ValueError("need at least 1 subinterval")
-    xs = np.linspace(domain.a, domain.b, quadrature_points)
+    a, b = domain
+    xs = np.linspace(a, b, quadrature_points)
     fx = np.asarray(f(xs), dtype=float)
     peak = float(np.max(np.abs(fx)))
     if peak == 0.0:
@@ -106,9 +106,9 @@ def integral_norm_estimate(domain: Domain, f: Callable[[np.ndarray], np.ndarray]
                                f"f is 0 at all {xs.size} quadrature nodes")
     # f and the nodes scaled by exact powers of two near their sizes, so that
     # neither f^2 nor the length times the integral underflows
-    ef, ex = math.frexp(peak)[1], math.frexp(domain.length)[1]
+    ef, ex = math.frexp(peak)[1], math.frexp(b - a)[1]
     integral = float(np.trapezoid(np.ldexp(fx, -ef) ** 2, np.ldexp(xs, -ex)))
-    scaled = math.ldexp(domain.length, -ex) / n_subintervals * integral
+    scaled = math.ldexp(b - a, -ex) / n_subintervals * integral
     return math.ldexp(float(np.sqrt(scaled)), ef + ex)
 
 

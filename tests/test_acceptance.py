@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from qsph.discretization import Domain, uniform_positions
+from qsph.discretization import uniform_positions
 from qsph.harness import (
     ExperimentConfig,
     particles,
@@ -49,9 +49,9 @@ def _random_discretisation(rng):
     a = float(rng.uniform(-3.0, 0.0))
     length = float(rng.uniform(0.5, 4.0))
     if rng.random() < 0.5:
-        domain = Domain(a, a + length)
-        positions = uniform_positions(domain, n, nb)
-        return positions, np.full(positions.size, domain.length / n)
+        b = a + length
+        positions = uniform_positions((a, b), n, nb)
+        return positions, np.full(positions.size, (b - a) / n)
     gaps = rng.uniform(0.2, 1.8, n)
     edges = a + length * np.concatenate([[0.0], np.cumsum(gaps)]) / np.sum(gaps)
     return edge_layout(edges, nb)

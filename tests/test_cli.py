@@ -10,6 +10,7 @@ import io
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -106,6 +107,7 @@ def test_flags_override_config_file(tmp_path, capsys):
     ('{"out": 5}', "out"),
     ('{"qubits": 8.0}', "qubits"),
     ('{"domain": "ab"}', "domain"),
+    ('{"domain": {"a": 0, "b": 1}}', "domain: expected two endpoints"),
 ])
 def test_bad_config_files_exit_2(tmp_path, capsys, content, fragment):
     cfg = tmp_path / "exp.json"
@@ -161,6 +163,8 @@ def test_missing_config_file_exits_2(tmp_path, capsys):
     ["sweep", "--h", "0.125", "--m-max", "16"],
     # about 1e303 ghosts per end, named in short form
     ["run", "--h", "1e300"],
+    # the derived h spans an infinite number of particle spacings
+    ["run", "--domain", "1e300", "1.7e308", "--qubits", "2", "--points", "2"],
 ])
 def test_invalid_settings_exit_2(capsys, argv):
     assert cli.main(argv) == 2
@@ -381,6 +385,23 @@ def test_unwritable_output_exits_2(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["run", "--qubits", "4"], ["sweep", "--m-max", "5"]])
+@pytest.mark.parametrize("in_file", [False, True])
+def test_an_empty_out_path_exits_2_and_writes_nothing(tmp_path, capsys, command, in_file):
+    # an empty path is a file that cannot be opened, not a request for stdout
+    if in_file:
+        cfg = tmp_path / "exp.json"
+        cfg.write_text('{"out": ""}')
+        argv = [*command, "--config", str(cfg)]
+    else:
+        argv = [*command, "--out", ""]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error: [Errno 2]")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
 def test_a_full_device_as_out_exits_1_and_stays(capsys):
     assert cli.main(["run", "--qubits", "4", "--points", "3", "--out", "/dev/full"]) == 1
@@ -451,6 +472,15 @@ def test_console_script_on_path_runs(tmp_path):
     proc = subprocess.run(["qsph", *SCRIPT_ARGS], capture_output=True, text=True,
                           timeout=120, cwd=tmp_path)
     _assert_script_streams_curve(proc)
+
+
+def test_public_names_and_the_version_have_one_source():
+    assert [name for name in qsph.__all__ if not hasattr(qsph, name)] == []
+    # Python 3.10 has no tomllib: the [project] table's version line, by pattern
+    project = re.search(r"^\[project\]\n(.*?)(?=^\[|\Z)", PYPROJECT.read_text(),
+                        re.MULTILINE | re.DOTALL)
+    version = re.search(r'^version = "([^"]+)"$', project.group(1), re.MULTILINE)
+    assert qsph.__version__ == version.group(1)
 
 
 def test_a_closed_stdout_exits_1_quietly(tmp_path):

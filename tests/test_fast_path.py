@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsph.discretization import Domain, sample_points, uniform_positions
+from qsph.discretization import uniform_positions
 from qsph.harness import (
     ExperimentConfig,
     particles,
@@ -36,7 +36,7 @@ from qsph.sph_encoding import (
 from qsph.swap_test import build_swap_state
 from test_discretization import edge_layout
 
-DOMAIN = Domain(-1.0, 1.0)
+DOMAIN = (-1.0, 1.0)
 TIE_TOL = 1e-12  # angles this close to a grid midpoint may snap either way
 
 
@@ -49,7 +49,7 @@ def _nearest_grid_index(theta: float, grid: int) -> int:
 def _uniform_layout(cells, ghosts):
     """Positions, widths and ghosts per end of a uniform layout on DOMAIN."""
     positions = uniform_positions(DOMAIN, cells, ghosts)
-    return positions, np.full(positions.size, DOMAIN.length / cells), ghosts
+    return positions, np.full(positions.size, (DOMAIN[1] - DOMAIN[0]) / cells), ghosts
 
 
 @st.composite
@@ -166,7 +166,7 @@ def test_exact_run_is_the_direct_sum_bit_for_bit_at_m12(family):
         positions, coeff = particles(cfg)
         spec = KernelSpec(family, order, cfg.h)
         got = run_experiment(cfg).f_approx.tolist()
-        xs = sample_points(cfg.domain, 300)
+        xs = np.linspace(*cfg.domain, 300)
         want = [kernel_sums(positions, coeff, spec, xs[j:j + 1])[0] for j in range(xs.size)]
         assert got == want
 
@@ -186,7 +186,7 @@ def _dense_run(cfg: ExperimentConfig) -> list[float]:
         approx_norm = integral_norm_estimate(cfg.domain, target_function, cfg.num_particles)
     g = np.random.Generator(np.random.Philox(key=cfg.seed))
     out = []
-    for x in sample_points(cfg.domain, cfg.eval_points):
+    for x in np.linspace(*cfg.domain, cfg.eval_points):
         pair = encode(positions, coeff, spec, float(x), approx_norm)
         if cfg.estimator == "exact":
             out.append(reconstruct(pair))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import qsph
 import qsph.registers
 import qsph.sph_encoding
-from qsph.discretization import Domain, uniform_positions
+from qsph.discretization import uniform_positions
 from qsph.harness import ExperimentConfig, particles, run_experiment
 from qsph.kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.registers import EncodedPair, build_a, build_w, encode, reconstruct
@@ -79,7 +79,7 @@ def test_build_a_rejects_zero_function():
 
 
 def test_encode_rejects_arrays_of_different_lengths():
-    positions = uniform_positions(Domain(0.0, 1.0), 4)
+    positions = uniform_positions((0.0, 1.0), 4)
     with pytest.raises(ValueError):
         encode(positions, np.ones(5), KernelSpec(GAUSSIAN, 0, 0.2), 0.5)
 
@@ -107,24 +107,24 @@ def test_build_a_approx_norm_passthrough():
 
 def test_integral_norm_constant_functions():
     one = lambda x: np.ones_like(np.asarray(x, dtype=float))
-    assert integral_norm_estimate(Domain(0.0, 1.0), one, 4) == pytest.approx(0.5,
+    assert integral_norm_estimate((0.0, 1.0), one, 4) == pytest.approx(0.5,
                                                                              rel=1e-12)
-    assert integral_norm_estimate(Domain(-1.0, 1.0), one, 4) == pytest.approx(1.0,
+    assert integral_norm_estimate((-1.0, 1.0), one, 4) == pytest.approx(1.0,
                                                                               rel=1e-12)
 
 
 def test_integral_norm_linear_function_converges():
-    positions = uniform_positions(Domain(0.0, 1.0), 64)
+    positions = uniform_positions((0.0, 1.0), 64)
     _, exact = build_a(positions * (1.0 / 64))
-    est = integral_norm_estimate(Domain(0.0, 1.0), lambda x: x, 64)
+    est = integral_norm_estimate((0.0, 1.0), lambda x: x, 64)
     assert abs(est - exact) / exact < 1.0 / 64
 
 
 def test_integral_norm_frozen_runge_values():
-    positions = uniform_positions(Domain(-1.0, 1.0), 16)
+    positions = uniform_positions((-1.0, 1.0), 16)
     _, exact = build_a(runge(positions) * (2.0 / 16))
-    est = integral_norm_estimate(Domain(-1.0, 1.0), runge, 16)
-    fine = integral_norm_estimate(Domain(-1.0, 1.0), runge, 16,
+    est = integral_norm_estimate((-1.0, 1.0), runge, 16)
+    fine = integral_norm_estimate((-1.0, 1.0), runge, 16,
                                   quadrature_points=100_001)
     assert exact == pytest.approx(RUNGE_N16_EXACT_NORM, rel=1e-13)
     # default quadrature carries trapezoid error ~ 1e-8; refining removes it
@@ -135,13 +135,13 @@ def test_integral_norm_frozen_runge_values():
 
 
 def test_build_w_outside_compact_support():
-    positions = uniform_positions(Domain(0.0, 1.0), 4)
+    positions = uniform_positions((0.0, 1.0), 4)
     state, _ = build_w(positions, KernelSpec(WENDLAND, 0, 0.1), 50.0, 4)
     np.testing.assert_array_equal(state.amplitudes, np.full(4, 0.5j))
 
 
 def test_build_w_single_particle_peak():
-    positions = uniform_positions(Domain(0.0, 1.0), 1)
+    positions = uniform_positions((0.0, 1.0), 1)
     state, c = build_w(positions, KernelSpec(GAUSSIAN, 0, 1.0), 0.5, 1)
     assert c == scaling_constant(KernelSpec(GAUSSIAN, 0, 1.0))
     # kernel at its peak: scaled value is exactly 1/N = 1, closure term 0
@@ -149,20 +149,20 @@ def test_build_w_single_particle_peak():
 
 
 def test_build_w_closure_at_centre():
-    positions = uniform_positions(Domain(-1.0, 1.0), 8)
+    positions = uniform_positions((-1.0, 1.0), 8)
     state, _ = build_w(positions, KernelSpec(GAUSSIAN, 0, 0.5), 0.0, 8)
     np.testing.assert_allclose(np.abs(state.amplitudes) ** 2, np.full(8, 0.125),
                                rtol=0, atol=1e-12)
 
 
 def test_build_w_padding_slots():
-    positions = uniform_positions(Domain(-1.0, 1.0), 4, n_boundary_each_end=1)
+    positions = uniform_positions((-1.0, 1.0), 4, n_boundary_each_end=1)
     state, _ = build_w(positions, KernelSpec(GAUSSIAN, 0, 0.5), 0.0, 8)
     np.testing.assert_array_equal(state.amplitudes[6:], np.full(2, 1j / math.sqrt(8)))
 
 
 def test_build_w_validates_register_length():
-    positions = uniform_positions(Domain(0.0, 1.0), 5)
+    positions = uniform_positions((0.0, 1.0), 5)
     spec = KernelSpec(GAUSSIAN, 0, 1.0)
     with pytest.raises(ValueError):
         build_w(positions, spec, 0.5, 4)   # shorter than the particle count
@@ -171,7 +171,7 @@ def test_build_w_validates_register_length():
 
 
 def test_build_w_nonnegative_imaginary_parts():
-    positions = uniform_positions(Domain(-1.0, 1.0), 32, n_boundary_each_end=4)
+    positions = uniform_positions((-1.0, 1.0), 32, n_boundary_each_end=4)
     for fam in (GAUSSIAN, WENDLAND):
         for order in (0, 1, 2):
             state, _ = build_w(positions, KernelSpec(fam, order, 0.25), 0.3, 64)
@@ -179,7 +179,7 @@ def test_build_w_nonnegative_imaginary_parts():
 
 
 def test_build_w_real_parts_reproduce_kernel_values():
-    positions = uniform_positions(Domain(-1.0, 1.0), 16, n_boundary_each_end=2)
+    positions = uniform_positions((-1.0, 1.0), 16, n_boundary_each_end=2)
     spec = KernelSpec(WENDLAND, 1, 0.3)
     x = 0.17
     state, c = build_w(positions, spec, x, 32)
@@ -192,7 +192,7 @@ def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
     # a c far below max |W| pushes |W/(cN)|^2 past the 1/N slot budget
     for module in (qsph.registers, qsph.sph_encoding):
         monkeypatch.setattr(module, "scaling_constant", lambda spec: 1e-9)
-    positions = uniform_positions(Domain(-1.0, 1.0), 16, n_boundary_each_end=2)
+    positions = uniform_positions((-1.0, 1.0), 16, n_boundary_each_end=2)
     coeff = runge(positions) * (2.0 / 16)
     spec = KernelSpec(GAUSSIAN, 0, 0.25)
     with pytest.raises(ValueError, match="closure"):
@@ -216,12 +216,12 @@ def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
 
 def test_support_window_counts_particles_in_the_support():
     for m in (6, 10):
-        positions = uniform_positions(Domain(-1.0, 1.0), 2 ** m, n_boundary_each_end=4)
+        positions = uniform_positions((-1.0, 1.0), 2 ** m, n_boundary_each_end=4)
         h = 4.0 / 2 ** m
         assert support_window(positions, KernelSpec(WENDLAND, 0, h)) == 9
         assert support_window(positions, KernelSpec(GAUSSIAN, 2, h)) == 33
     # a support wider than the layout takes every particle
-    positions = uniform_positions(Domain(-1.0, 1.0), 8)
+    positions = uniform_positions((-1.0, 1.0), 8)
     assert support_window(positions, KernelSpec(GAUSSIAN, 0, 1.0)) == 8
 
 
@@ -252,8 +252,8 @@ SUPPORT_SPAN = {GAUSSIAN: 16.0, WENDLAND: 4.0}
        h_rule=st.one_of(st.none(), st.integers(1, 80), st.floats(0.05, 40.0)))
 def test_support_window_matches_the_search_on_uniform_layouts(m, family, order, ghosts,
                                                               bounds, h_rule):
-    domain = Domain(*bounds)
-    dx = domain.length / 2 ** m
+    a, b = bounds
+    dx = (b - a) / 2 ** m
     if h_rule is None:
         h = 2.0 * dx  # the default rule
     elif isinstance(h_rule, int):
@@ -262,7 +262,7 @@ def test_support_window_matches_the_search_on_uniform_layouts(m, family, order, 
         h = h_rule * dx
     spec = KernelSpec(family, order, h)
     nb = math.ceil(spec.support_radius / dx) + 1 if ghosts is None else ghosts
-    positions = uniform_positions(domain, 2 ** m, n_boundary_each_end=nb)
+    positions = uniform_positions(bounds, 2 ** m, n_boundary_each_end=nb)
     assert support_window(positions, spec) == _window_by_search(positions, spec)
 
 
@@ -347,7 +347,7 @@ def test_reconstruct_matches_direct_sum():
 def test_reconstruct_imaginary_part_is_contaminated():
     # only the real part of <a|W> carries the sum; the imaginary part is
     # an artifact of the closure terms and must be discarded
-    positions = uniform_positions(Domain(-1.0, 1.0), 32)
+    positions = uniform_positions((-1.0, 1.0), 32)
     coeff = runge(positions) * (2.0 / 32)
     spec = KernelSpec(GAUSSIAN, 0, 0.125)
     pair = encode(positions, coeff, spec, 0.3)
@@ -359,14 +359,14 @@ def test_reconstruct_imaginary_part_is_contaminated():
 
 
 def test_reconstruct_with_external_overlap():
-    positions = uniform_positions(Domain(0.0, 1.0), 8)
+    positions = uniform_positions((0.0, 1.0), 8)
     pair = encode(positions, (1.0 + positions) * 0.125, KernelSpec(WENDLAND, 0, 0.2), 0.5)
     assert reconstruct(pair, overlap_real=0.25) == pytest.approx(
         pair.c * pair.n_register * pair.norm_a * 0.25, rel=1e-15)
 
 
 def test_zero_function_sums_to_zero():
-    positions = uniform_positions(Domain(-1.0, 1.0), 16)
+    positions = uniform_positions((-1.0, 1.0), 16)
     assert kernel_sums(positions, np.zeros(16), KernelSpec(GAUSSIAN, 0, 0.2),
                        np.array([0.1]))[0] == 0.0
 
@@ -382,14 +382,14 @@ def test_padding_contributes_nothing():
 
 
 def test_partition_of_unity_fine_grid():
-    positions = uniform_positions(Domain(-1.0, 1.0), 256, n_boundary_each_end=4)
+    positions = uniform_positions((-1.0, 1.0), 256, n_boundary_each_end=4)
     ones = np.full(positions.size, 2.0 / 256)  # f = 1
     val = kernel_sums(positions, ones, KernelSpec(GAUSSIAN, 0, 4.0 / 256), np.array([0.0]))[0]
     assert val == pytest.approx(1.0, abs=1e-6)
 
 
 def test_odd_kernel_kills_constant():
-    positions = uniform_positions(Domain(-1.0, 1.0), 64, n_boundary_each_end=4)
+    positions = uniform_positions((-1.0, 1.0), 64, n_boundary_each_end=4)
     ones = np.full(positions.size, 2.0 / 64)  # f = 1
     for fam in (GAUSSIAN, WENDLAND):
         val = kernel_sums(positions, ones, KernelSpec(fam, 1, 4.0 / 64), np.array([0.0]))[0]
@@ -424,12 +424,12 @@ def test_reconstruct_scales_linearly(lam):
 
 NORMS_AS_HEX = """
 import numpy as np
-from qsph.discretization import Domain, uniform_positions
+from qsph.discretization import uniform_positions
 from qsph.harness import target_function
 from qsph.sph_encoding import coefficient_norm
 for ghosts in (17, 5):  # the default Gaussian and Wendland layouts
     for m in (14, 16):
-        coeff = target_function(uniform_positions(Domain(-1.0, 1.0), 2 ** m, ghosts))
+        coeff = target_function(uniform_positions((-1.0, 1.0), 2 ** m, ghosts))
         print(coefficient_norm(coeff * (2.0 / 2 ** m)).hex())
 """
 

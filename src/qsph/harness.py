@@ -17,7 +17,6 @@ ceil(support_radius / dx) + 1 unless set explicitly.
 """
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import sys
@@ -37,7 +36,6 @@ from .kernels import (
     scaling_constant,
 )
 from .sph_encoding import (
-    BOUNDARY_MODES,
     coefficient_norm,
     coefficient_peak,
     integral_norm_estimate,
@@ -50,6 +48,7 @@ SWEEP_HEADER = ("m", "kernel", "order", "rms")
 
 NORM_MODES = ("exact", "integral")
 ESTIMATORS = ("exact", "sampled", "phase")
+BOUNDARY_MODES = ("analytic", "zero")
 
 
 class ConfigError(ValueError):
@@ -500,37 +499,6 @@ def write_rows(stream, curve: Curve) -> None:
     stream.write(",".join(CSV_HEADER) + "\n")
     for lines in csv_lines(table):
         stream.write(lines)
-
-
-def read_rows(path: str) -> Curve:
-    """Parse a curve CSV back into a Curve; exact inverse of write_rows.
-
-    Raises ValueError naming the line of a row without exactly four fields,
-    of a field that is not a float, or of an abs_error that is not
-    |f_exact - f_approx| (NaN matches NaN).
-    """
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader, ()))
-        if header != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}")
-        for fields in reader:
-            where = f"{path}, line {reader.line_num}"
-            if len(fields) != len(CSV_HEADER):
-                raise ValueError(f"{where}: expected {len(CSV_HEADER)} fields, "
-                                 f"got {len(fields)}")
-            try:
-                x, fe, fa, ae = (float(v) for v in fields)
-            except ValueError as exc:
-                raise ValueError(f"{where}: {exc}") from None
-            expected = abs(fe - fa)
-            if not (expected == ae or (math.isnan(expected) and math.isnan(ae))):
-                raise ValueError(f"{where}: abs_error {ae!r} is not "
-                                 f"|f_exact - f_approx| = {expected!r}")
-            rows.append((x, fe, fa))
-    x, fe, fa = np.array(rows, dtype=float).reshape(-1, 3).T
-    return Curve(x, fe, fa)
 
 
 def write_sweep(stream, entries: list[tuple[int, float]],

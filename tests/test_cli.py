@@ -3,8 +3,9 @@ checks cover the console script: one starts the `[project.scripts]` entry
 point declared in pyproject.toml the way the generated wrapper does, so it
 needs no install; the other runs the installed `qsph` executable and is
 skipped when none is on PATH. A third checks, in a fresh interpreter, that
-runs and sweeps never import the dense register oracle, nor fractions or
-decimal."""
+runs and sweeps never import the dense register oracle, nor fractions,
+decimal or csv."""
+import ast
 import errno
 import io
 import json
@@ -24,7 +25,6 @@ from qsph.harness import (
     ESTIMATORS,
     Curve,
     ExperimentConfig,
-    read_rows,
     run_convergence_sweep,
     run_experiment,
 )
@@ -36,12 +36,18 @@ def _columns(curve):
                                      curve.abs_error)]
 
 
+def _reference_csv(config):
+    """The bytes csv.writer writes for the run's curve."""
+    stream = io.StringIO()
+    _csv_module_writer(stream, run_experiment(config))
+    return stream.getvalue().encode()
+
+
 def test_run_writes_curve_file(tmp_path):
     out = tmp_path / "curve.csv"
     code = cli.main(["run", "--qubits", "4", "--points", "5", "--out", str(out)])
     assert code == 0
-    expected = run_experiment(ExperimentConfig(qubits=4, eval_points=5))
-    assert _columns(read_rows(str(out))) == _columns(expected)
+    assert out.read_bytes() == _reference_csv(ExperimentConfig(qubits=4, eval_points=5))
 
 
 def test_run_streams_csv_to_stdout(capsys):
@@ -89,8 +95,7 @@ def test_config_file_supplies_settings(tmp_path):
     cfg.write_text(json.dumps({"qubits": 4, "points": 5}))
     out = tmp_path / "curve.csv"
     assert cli.main(["run", "--config", str(cfg), "--out", str(out)]) == 0
-    assert _columns(read_rows(str(out))) == _columns(run_experiment(
-        ExperimentConfig(qubits=4, eval_points=5)))
+    assert out.read_bytes() == _reference_csv(ExperimentConfig(qubits=4, eval_points=5))
 
 
 def test_flags_override_config_file(tmp_path, capsys):
@@ -483,6 +488,28 @@ def test_public_names_and_the_version_have_one_source():
     assert qsph.__version__ == version.group(1)
 
 
+RUN_PATH_MODULES = ("harness", "sph_encoding", "discretization", "kernels", "cli", "_g17")
+# name -> why it stays although no package module refers to it
+UNREFERENCED_ALLOWED = {
+    "FunctionSamples": "bench/tracing.py imports it, until the tracer reads the "
+                       "run's own stage record (ROADMAP Direction 1)",
+}
+
+
+def test_every_run_path_definition_is_used_or_public():
+    # the oracle modules (quantum_state, registers, swap_test) are the tests'
+    # reference, so only run-path definitions must have a use in the package
+    package = Path(qsph.__file__).resolve().parent
+    trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    used = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, (ast.Name, ast.Attribute))}
+    defined = {node.name for stem in RUN_PATH_MODULES for node in trees[stem].body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    unused = defined - used - set(qsph.__all__)
+    assert sorted(unused) == sorted(UNREFERENCED_ALLOWED)
+
+
 def test_a_closed_stdout_exits_1_quietly(tmp_path):
     # 20000 rows fill the pipe long before the run ends, as with `| head -1`
     package_parent = Path(qsph.__file__).resolve().parents[1]
@@ -514,6 +541,8 @@ def test_a_full_stdout_exits_1_with_one_write_error(tmp_path):
 ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")
 # exact rational arithmetic: importing it would lengthen every run's set-up
 EXACT_MODULES = ("fractions", "decimal")
+# the writer formats its own bytes; no run parses or writes through csv
+CSV_MODULES = ("csv",)
 RUNS_THEN_LIST_LOADED = """
 import sys
 from qsph import cli
@@ -532,7 +561,7 @@ def test_runs_load_no_dense_oracle_module(tmp_path):
     package_parent = Path(qsph.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", RUNS_THEN_LIST_LOADED, str(tmp_path / "out.csv"),
-         *ORACLE_MODULES, *EXACT_MODULES],
+         *ORACLE_MODULES, *EXACT_MODULES, *CSV_MODULES],
         capture_output=True, text=True, timeout=120, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(package_parent)})
     assert proc.returncode == 0, proc.stderr

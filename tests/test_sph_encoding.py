@@ -124,12 +124,11 @@ def test_integral_norm_frozen_runge_values():
     positions = uniform_positions((-1.0, 1.0), 16)
     _, exact = build_a(runge(positions) * (2.0 / 16))
     est = integral_norm_estimate((-1.0, 1.0), runge, 16)
-    fine = integral_norm_estimate((-1.0, 1.0), runge, 16,
-                                  quadrature_points=100_001)
     assert exact == pytest.approx(RUNGE_N16_EXACT_NORM, rel=1e-13)
-    # default quadrature carries trapezoid error ~ 1e-8; refining removes it
+    assert RUNGE_N16_INTEGRAL_NORM == pytest.approx(
+        math.sqrt(2 / 16 * (1 / 26 + math.atan(5) / 5)), rel=1e-15)
+    # the quadrature carries trapezoid error ~ 1e-8
     assert est == pytest.approx(RUNGE_N16_INTEGRAL_NORM, rel=1e-7)
-    assert fine == pytest.approx(RUNGE_N16_INTEGRAL_NORM, rel=1e-11)
     # the estimate is close but visibly off the exact norm
     assert 1e-4 < abs(est - exact) / exact < 1e-3
 

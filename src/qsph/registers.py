@@ -37,7 +37,7 @@ import numpy as np
 
 from .kernels import KernelSpec, evaluate, scaling_constant
 from .quantum_state import StateVector, inner_product, normalize
-from .sph_encoding import check_closure, coefficient_peak, register_length
+from .sph_encoding import check_kernel_bound, coefficient_peak, register_length
 
 
 @dataclass(frozen=True)
@@ -86,25 +86,26 @@ def build_a(coeff: np.ndarray,
 
 
 def build_w(positions: np.ndarray, spec: KernelSpec, eval_point: float,
-            register_len: int) -> tuple[StateVector, float]:
+            n: int) -> tuple[StateVector, float]:
     """Register state |W> holding the scaled kernel samples for one query point.
 
-    Slot k carries W(eval_point - r_k, h) / (c N) plus the imaginary closure
-    term that tops its squared modulus up to exactly 1/N; padding slots are
-    purely imaginary i/sqrt(N). The state is unit-norm by construction.
+    Slot k carries W(eval_point - r_k, h) / (c n) plus the imaginary closure
+    term that tops its squared modulus up to exactly 1/n; padding slots are
+    purely imaginary i/sqrt(n). The state is unit-norm by construction. The
+    kernel values must be within c (``check_kernel_bound``).
     """
     count = positions.size
-    if register_len < count:
-        raise ValueError(f"register length {register_len} below particle count {count}")
-    if register_len & (register_len - 1):
-        raise ValueError(f"register length must be a power of two, got {register_len}")
+    if n < count:
+        raise ValueError(f"register length {n} below particle count {count}")
+    if n & (n - 1):
+        raise ValueError(f"register length must be a power of two, got {n}")
 
     c = scaling_constant(spec)
-    n = register_len
     kernel = evaluate(spec, eval_point - positions)
-    check_closure(np.max(np.abs(kernel)), c, n)
+    check_kernel_bound(np.max(np.abs(kernel)), c)
     scaled = kernel / (c * n)
-    radicand = 1.0 / n - scaled ** 2
+    # below 0 only at n = 1, for a value within check_kernel_bound's slack above c
+    radicand = np.maximum(1.0 / n - scaled ** 2, 0.0)
     amps = np.full(n, 1j / np.sqrt(n), dtype=complex)
     amps[:count] = scaled + 1j * np.sqrt(radicand)
     return StateVector(amps), c

@@ -18,8 +18,8 @@ unit states |a> and |W> (built densely in ``qsph.registers``), with
 for c = max |W| and N = ``register_length`` of the particle count. The run
 path therefore reads Re <a|W> off the sums and the scalars here --
 ``coefficient_norm`` (||a||) or its estimate ``integral_norm_estimate``,
-and c N -- without building a register. ``check_closure`` is the one
-condition |W> puts on the kernel values; the sums check it as well.
+and c N -- without building a register. ``check_kernel_bound`` holds the
+kernel values to c, all that |W> needs of them; the sums check it as well.
 """
 from __future__ import annotations
 
@@ -39,6 +39,9 @@ BLOCK_VALUES = 1 << 13
 # trapezoid nodes of integral_norm_estimate; on the target 1/(1 + 25 x^2)
 # over [-1, 1] they leave a relative quadrature error of about 6e-9
 QUADRATURE_POINTS = 1001
+# rounding slack of check_kernel_bound: over 1000 h in (1e-80, 1e80), evaluate
+# came at most 3 ulps above c (order 1); orders 0 and 2 reach c exactly
+KERNEL_BOUND_ULPS = 16
 
 
 class ZeroSamplesError(ValueError):
@@ -113,17 +116,15 @@ def integral_norm_estimate(domain: tuple[float, float], f: Callable[[np.ndarray]
     return math.ldexp(float(np.sqrt(scaled)), ef + ex)
 
 
-def check_closure(peak: float, c: float, register_len: int) -> None:
-    """Raise ValueError unless a kernel value of modulus ``peak`` fits a slot.
-
-    Slot k of |W> needs the closure radicand 1/N - (W_k / (c N))^2 to be
-    nonnegative. |W| <= c guarantees it; a wrong c or kernel breaks it. The
-    radicand falls as |W_k| grows, so checking the largest |W_k| checks all.
+def check_kernel_bound(peak: float, c: float) -> None:
+    """Raise ValueError unless a kernel modulus ``peak`` is at most c = max |W|,
+    up to KERNEL_BOUND_ULPS ulps of c for the rounding of ``evaluate``; NaN
+    fails. Every closure radicand 1/N - (W_k / (c N))^2 of a |W> of length
+    N >= 2 is then nonnegative, so the check does not depend on N.
     """
-    n = register_len
-    if not 1.0 / n - (peak / (c * n)) ** 2 >= 0.0:
-        raise ValueError(f"closure: kernel value {float(peak)!r} breaks |W/(cN)|^2 <= 1/N "
-                         f"for c = {c!r}, N = {n}")
+    if not peak <= c + KERNEL_BOUND_ULPS * math.ulp(c):
+        raise ValueError(f"kernel bound: kernel value {float(peak)!r} exceeds "
+                         f"c = {c!r}, the kernel's closed-form maximum")
 
 
 def support_window(positions: np.ndarray, spec: KernelSpec) -> int:
@@ -174,10 +175,8 @@ def kernel_sums(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
     holds every particle within support_radius; the rest carry exact zeros
     (Wendland) or less than exp(-64) of the peak (Gaussian). Points go in
     blocks of at most ``BLOCK_VALUES`` kernel values, each block a few array
-    expressions whose temporaries are freed before the next block. The
-    kernel values must pass the closure check of |W> (``check_closure``)
-    for the smallest register that holds the particles, N =
-    register_length(positions.size), the strictest N.
+    expressions whose temporaries are freed before the next block. Each
+    block's largest kernel modulus must be within c (``check_kernel_bound``).
     """
     width = support_window(positions, spec)
     with np.errstate(over="ignore"):  # -inf starts at the first particle
@@ -185,13 +184,12 @@ def kernel_sums(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
     starts = np.minimum(starts, positions.size - width)
     window = np.arange(width)
     c = scaling_constant(spec)
-    n = register_length(positions.size)
     sums = np.empty(xs.size)
     step = max(1, BLOCK_VALUES // width)
     for lo in range(0, xs.size, step):
         idx = starts[lo:lo + step, None] + window
         kernel = evaluate(spec, xs[lo:lo + step, None] - positions[idx])
-        check_closure(np.max(np.abs(kernel)), c, n)
+        check_kernel_bound(np.max(np.abs(kernel)), c)
         sums[lo:lo + step] = np.sum(coeff[idx] * kernel, axis=1)
     return sums
 

@@ -543,15 +543,21 @@ ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")
 EXACT_MODULES = ("fractions", "decimal")
 # the writer formats its own bytes; no run parses or writes through csv
 CSV_MODULES = ("csv",)
+# numpy 2 loads numpy.random (about 6 MB of resident memory, 19 modules)
+# at its first use, so only a sampled run may load it
 RUNS_THEN_LIST_LOADED = """
 import sys
 from qsph import cli
 out, unwanted = sys.argv[1], sys.argv[2:]
-for estimator in ("exact", "sampled", "phase"):
-    assert cli.main(["run", "--qubits", "4", "--points", "3",
-                     "--estimator", estimator, "--out", out]) == 0
+for estimator in ("exact", "phase"):
+    for norm in ("exact", "integral"):
+        assert cli.main(["run", "--qubits", "4", "--points", "3", "--estimator",
+                         estimator, "--norm", norm, "--out", out]) == 0
 assert cli.main(["sweep", "--m-min", "2", "--m-max", "4", "--points", "3",
                  "--out", out]) == 0
+assert "numpy.random" not in sys.modules
+assert cli.main(["run", "--qubits", "4", "--points", "3",
+                 "--estimator", "sampled", "--out", out]) == 0
 print(sorted(set(unwanted) & set(sys.modules)))
 """
 

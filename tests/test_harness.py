@@ -478,6 +478,63 @@ def test_gaussian_sweep_falls_3x_per_qubit_with_derived_ghosts():
         assert (rms[0] / rms[-1]) ** (1.0 / (len(ms) - 1)) >= 3.0, (order, rms)
 
 
+def _target_derivative(x: np.ndarray, n: int) -> np.ndarray:
+    """f^(n)(x) in closed form: f = Re[1 / (1 + 5ix)], so
+    f^(n) = Re[n! (-5i)^n / (1 + 5ix)^(n+1)]."""
+    return (math.factorial(n) * (-5j) ** n / (1.0 + 5j * x) ** (n + 1)).real
+
+
+def _rms(values: np.ndarray) -> float:
+    return math.sqrt(np.mean(values * values))
+
+
+def test_gaussian_error_follows_the_kernel_moment_law():
+    """The signed error of an exact run is the kernel's moment expansion,
+    (h^2/4) f^(p+2) + (h^4/32) f^(p+4) at derivative order p; the grid
+    (aliasing) term exp(-pi^2 h^2 / dx^2) is about 7e-18 at h = 2 dx. From
+    m = 16 at order 2 the float floor shows (RMS / law = 1.0018)."""
+    for order in (0, 1, 2):
+        for m in range(8, 16):
+            config = ExperimentConfig(derivative_order=order, qubits=m)
+            curve = run_experiment(config)
+            h, x = config.h, curve.x
+            law = (h ** 2 / 4 * _target_derivative(x, order + 2)
+                   + h ** 4 / 32 * _target_derivative(x, order + 4))
+            ratio = _rms(curve.f_approx - curve.f_exact) / _rms(law)
+            assert ratio == pytest.approx(1.0, abs=1e-3), (order, m, ratio)
+
+
+def test_wendland_error_follows_the_moment_law_and_the_cusp_image():
+    """The Wendland error adds to its moment terms (h^2/7) f^(p+2) +
+    (h^4/105) f^(p+4) the grid term -(15/16) (dx/h)^4 d^p/dx^p [B4(s) f] of
+    the |r|^3 cusp at r = 0, with B4 the Bernoulli polynomial and s the grid
+    phase of x. At a fixed h/dx that term does not shrink with dx, so the
+    error stalls. What the law leaves falls as dx, 3e-3 of the error at
+    m = 10."""
+    # B4(s) = s^4 - 2 s^3 + s^2 - 1/30 and its first two derivatives in s
+    b4 = (lambda s: s ** 4 - 2 * s ** 3 + s ** 2 - 1 / 30,
+          lambda s: 4 * s ** 3 - 6 * s ** 2 + 2 * s,
+          lambda s: 12 * s ** 2 - 12 * s + 2)
+    for h_per_dx in (2, 8):
+        for order in (0, 1, 2):
+            for m in range(10, 17):
+                a, b = ExperimentConfig().domain
+                dx = (b - a) / 2 ** m
+                config = ExperimentConfig(kernel="wendland", derivative_order=order,
+                                          qubits=m, smoothing_length=h_per_dx * dx)
+                curve = run_experiment(config)
+                h, x = config.h, curve.x
+                s = np.mod((x - a - dx / 2) / dx, 1.0)
+                # d^p/dx^p [B4(s(x)) f(x)] by Leibniz, with ds/dx = 1/dx
+                image = sum(math.comb(order, j) * b4[j](s) / dx ** j
+                            * _target_derivative(x, order - j) for j in range(order + 1))
+                law = (h ** 2 / 7 * _target_derivative(x, order + 2)
+                       + h ** 4 / 105 * _target_derivative(x, order + 4)
+                       - 15 / 16 * (dx / h) ** 4 * image)
+                err = curve.f_approx - curve.f_exact
+                assert _rms(err - law) < 1e-2 * _rms(err), (h_per_dx, order, m)
+
+
 @pytest.mark.parametrize("kernel", list(KernelFamily))
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("estimator", harness.ESTIMATORS)

@@ -145,6 +145,12 @@ def test_build_w_single_particle_peak():
     assert c == scaling_constant(KernelSpec(GAUSSIAN, 0, 1.0))
     # kernel at its peak: scaled value is exactly 1/N = 1, closure term 0
     np.testing.assert_array_equal(state.amplitudes, [1.0 + 0.0j])
+    # a value 3 ulps above c, within check_kernel_bound's slack: closure term 0
+    spec = KernelSpec(GAUSSIAN, 1, 1.5027955186689237)
+    x = 1.0626369019875508
+    state, c = build_w(np.zeros(1), spec, x, 1)
+    assert evaluate(spec, x) == -(c + 3 * math.ulp(c))
+    np.testing.assert_array_equal(state.amplitudes, [evaluate(spec, x) / c + 0.0j])
 
 
 def test_build_w_closure_at_centre():
@@ -188,19 +194,23 @@ def test_build_w_real_parts_reproduce_kernel_values():
 
 
 def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
-    # a c far below max |W| pushes |W/(cN)|^2 past the 1/N slot budget
-    for module in (qsph.registers, qsph.sph_encoding):
-        monkeypatch.setattr(module, "scaling_constant", lambda spec: 1e-9)
+    # a c below max |W| fails the bound |W| <= c, whatever the register
+    # length: 1e-9 is far below, and 0.5 c and 0.9 c are inside the
+    # |W| <= c sqrt(N) that the closure radicand alone would allow
     positions = uniform_positions((-1.0, 1.0), 16, n_boundary_each_end=2)
     coeff = runge(positions) * (2.0 / 16)
     spec = KernelSpec(GAUSSIAN, 0, 0.25)
-    with pytest.raises(ValueError, match="closure"):
-        build_w(positions, spec, 0.1, 32)
-    with pytest.raises(ValueError, match="closure"):
-        kernel_sums(positions, coeff, spec, np.array([0.1]))
-    with pytest.raises(ValueError, match="closure"):
-        run_experiment(ExperimentConfig(qubits=4, eval_points=5))
-    monkeypatch.undo()
+    for wrong_c in (lambda spec: 1e-9, lambda spec: 0.5 * scaling_constant(spec),
+                    lambda spec: 0.9 * scaling_constant(spec)):
+        for module in (qsph.registers, qsph.sph_encoding):
+            monkeypatch.setattr(module, "scaling_constant", wrong_c)
+        with pytest.raises(ValueError, match="kernel bound"):
+            build_w(positions, spec, 0.1, 32)
+        with pytest.raises(ValueError, match="kernel bound"):
+            kernel_sums(positions, coeff, spec, np.array([0.1]))
+        with pytest.raises(ValueError, match="kernel bound"):
+            run_experiment(ExperimentConfig(qubits=4, eval_points=5))
+        monkeypatch.undo()
     # with the true c: the check takes max |W|, so values far below -c fail
     # it next to a harmless 0, and so does a NaN
     for bad in (-1e6, math.nan):
@@ -209,7 +219,7 @@ def test_closure_violation_raises_in_build_w_and_the_fast_path(monkeypatch):
             values.flat[0] = 0.0
             return values
         monkeypatch.setattr(qsph.sph_encoding, "evaluate", evaluate_bad)
-        with pytest.raises(ValueError, match="closure"):
+        with pytest.raises(ValueError, match="kernel bound"):
             kernel_sums(positions, coeff, spec, np.array([0.1]))
 
 

@@ -1,10 +1,11 @@
 """Command-line front end: `qsph run` for curves, `qsph sweep` for RMS vs m.
 
 This module only parses. ``ExperimentConfig`` owns each setting's default,
-type and valid range, and ``sweep_m_values`` the sweep's; the choices and
-the defaults in the help come from there. Every flag of a subcommand can
-also come from a JSON config file (--config FILE) whose keys are its long
-flag names with dashes as underscores; explicit flags override file values.
+type and valid range, and ``run_convergence_sweep`` the sweep's m_min and
+m_max (their defaults are ``SWEEP_M_RANGE``); the choices and the defaults
+in the help come from there. Every flag of a subcommand can also come from
+a JSON config file (--config FILE) whose keys are its long flag names with
+dashes as underscores; explicit flags override file values.
 Exit codes: 0 success, 1 the table could not be written (stdout closed
 early, or a write or flush failed), 2 configuration error (an --out that
 cannot be opened, or more query points than fit in memory, among them),
@@ -28,13 +29,13 @@ from .harness import (
     BOUNDARY_MODES,
     ESTIMATORS,
     NORM_MODES,
+    SWEEP_M_RANGE,
     ConfigError,
     ExperimentConfig,
     ReadoutScaleError,
     all_finite,
     run_convergence_sweep,
     run_experiment,
-    sweep_m_values,
 )
 from .kernels import DERIVATIVE_ORDERS, KernelFamily
 from .sph_encoding import ZeroSamplesError
@@ -83,7 +84,7 @@ def _common_flags(p: argparse.ArgumentParser, d: ExperimentConfig) -> list[argpa
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The parser, built once per process, at its first use."""
-    d, ms = ExperimentConfig(), sweep_m_values()
+    d, (m_min, m_max) = ExperimentConfig(), SWEEP_M_RANGE
     parser = argparse.ArgumentParser(
         prog="qsph",
         description="Register-encoded SPH approximation experiments.")
@@ -96,8 +97,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="RMS-vs-m convergence CSV",
                            argument_default=argparse.SUPPRESS)
     sweep_flags = [
-        sweep.add_argument("--m-min", type=int, help=f"smallest register size (default {ms[0]})"),
-        sweep.add_argument("--m-max", type=int, help=f"largest register size (default {ms[-1]})")]
+        sweep.add_argument("--m-min", type=int, help=f"smallest register size (default {m_min})"),
+        sweep.add_argument("--m-max", type=int, help=f"largest register size (default {m_max})")]
     for p, flags in ((run, run_flags), (sweep, sweep_flags)):
         p._negative_number_matcher = NEGATIVE_NUMBER
         p.add_argument("--config", metavar="FILE",
@@ -137,9 +138,9 @@ def _cmd_run(settings: dict, out: str | None) -> int:
 
 
 def _cmd_sweep(settings: dict, out: str | None) -> int:
-    ms = sweep_m_values(**{k: settings.pop(k) for k in ("m_min", "m_max") if k in settings})
+    m_range = {k: settings.pop(k) for k in ("m_min", "m_max") if k in settings}
     config = ExperimentConfig(**settings)
-    entries = run_convergence_sweep(config, ms)
+    entries = run_convergence_sweep(config, **m_range)
     if not all(math.isfinite(rms) for _, rms in entries):
         print("numerical failure: non-finite RMS in the sweep", file=sys.stderr)
         return EXIT_NUMERIC

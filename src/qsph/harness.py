@@ -112,6 +112,10 @@ _INTEGER_RANGES = {
 }
 
 
+# a sweep's default m_min and m_max
+SWEEP_M_RANGE = (4, 8)
+
+
 def _integer(name: str, value, lo: int, hi: int | float) -> int:
     # an exact int skips the numbers.Integral check, a slow ABC lookup; bool
     # is a subclass of int, not an int, so it still fails below
@@ -157,7 +161,8 @@ class ExperimentConfig:
     derived 2 dx. The particles and ghosts together must fit twice the
     largest register, 2^17, and dx must exceed the rounding of the particle
     coordinates (about 8 ulps of the farthest one, which must not overflow),
-    so every particle is distinct.
+    so the positions are finite and strictly increasing; nothing after the
+    config checks them again.
 
     The checks derive the layout, and the config keeps it as attributes
     that are not arguments and not part of its repr, == or hash:
@@ -236,7 +241,7 @@ class ExperimentConfig:
         # twice the largest register: any more particles and the layout, not
         # the 2^m grid, sets the run's size (h = 1e6 on [-1, 1] asks for 2e9)
         top = 2 ** (_INTEGER_RANGES["qubits"][1] + 1)
-        if register_length(n + 2 * nb) > top:
+        if n + 2 * nb > top:
             name = "smoothing_length" if self.boundary_particles is None else "boundary_particles"
             # past 2^53 the digits of a derived count are those of a rounded double
             count = nb if name == "boundary_particles" or nb < 2 ** 53 else f"about {nb:.3g}"
@@ -448,32 +453,24 @@ def rms_error(curve: Curve) -> float:
     return _rms(curve.abs_error)
 
 
-def sweep_m_values(m_min: int = 4, m_max: int = 8) -> range:
-    """The register sizes m_min..m_max of a sweep; each must be valid qubits."""
+def run_convergence_sweep(base: ExperimentConfig, m_min: int = SWEEP_M_RANGE[0],
+                          m_max: int = SWEEP_M_RANGE[1]) -> list[tuple[int, float]]:
+    """RMS error per register size m = m_min..m_max, re-deriving h for each m.
+
+    m_min and m_max must be valid qubits, with m_min <= m_max; a ConfigError
+    names the one that is not. An explicit smoothing_length in the base
+    config is kept fixed across the sweep instead. Every m's config is
+    checked before any m runs. Each entry is what
+    ``rms_error(run_experiment(...))`` gives for that m, bit for bit,
+    without the ``Curve``: the query points and the exact values do not
+    depend on m, so they are computed once, and each m computes only its
+    sums, its readout and the RMS.
+    """
     lo, hi = _INTEGER_RANGES["qubits"]
     m_min, m_max = _integer("m_min", m_min, lo, hi), _integer("m_max", m_max, lo, hi)
     if m_min > m_max:
         raise ConfigError(f"m_min: {m_min} exceeds m_max {m_max}")
-    return range(m_min, m_max + 1)
-
-
-def run_convergence_sweep(base: ExperimentConfig,
-                          m_values=sweep_m_values()) -> list[tuple[int, float]]:
-    """RMS error per register size m, re-deriving h for each m.
-
-    An explicit smoothing_length in the base config is kept fixed across
-    the sweep instead. Every m's config is checked before any m runs. Each
-    entry is what ``rms_error(run_experiment(...))`` gives for that m, bit
-    for bit, without the ``Curve``: the query points and the exact values
-    do not depend on m, so they are computed once, and each m computes only
-    its sums, its readout and the RMS.
-    """
-    ms = list(m_values)
-    if not ms:
-        raise ValueError("m_values must be nonempty")
-    if ms != sorted(set(ms)):
-        raise ValueError("m_values must be strictly ascending")
-    configs = [replace(base, qubits=m) for m in ms]
+    configs = [replace(base, qubits=m) for m in range(m_min, m_max + 1)]
     xs = np.linspace(*base.domain, base.eval_points)
     exact = target_function(xs, base.derivative_order)
     entries = []

@@ -99,8 +99,6 @@ def integral_norm_estimate(domain: tuple[float, float], f: Callable[[np.ndarray]
     nodes. Cheap relative to touching all N particle values, and
     increasingly accurate as N grows.
     """
-    if n_subintervals < 1:
-        raise ValueError("need at least 1 subinterval")
     a, b = domain
     xs = np.linspace(a, b, QUADRATURE_POINTS)
     fx = np.asarray(f(xs), dtype=float)
@@ -167,16 +165,18 @@ def kernel_sums(positions: np.ndarray, coeff: np.ndarray, spec: KernelSpec,
                 xs: np.ndarray) -> np.ndarray:
     """Direct sums sum_k a_k W(x - r_k, h) at each query point x of xs.
 
-    ``positions`` are the ascending, checked particle positions r_k and
-    ``coeff`` the coefficients a_k = f_k dx_k, one per particle; xs is a
-    1-D float array. Each point sums over a contiguous window of
-    ``support_window`` particles starting at the first one no further than
-    support_radius below it (shifted left where the layout ends). The window
-    holds every particle within support_radius; the rest carry exact zeros
-    (Wendland) or less than exp(-64) of the peak (Gaussian). Points go in
-    blocks of at most ``BLOCK_VALUES`` kernel values, each block a few array
-    expressions whose temporaries are freed before the next block. Each
-    block's largest kernel modulus must be within c (``check_kernel_bound``).
+    ``positions`` are the particle positions r_k, finite and strictly
+    increasing (a valid ``ExperimentConfig`` guarantees both for a run's
+    layout), and ``coeff`` the coefficients a_k = f_k dx_k, one per
+    particle; xs is a 1-D float array. Each point sums over a contiguous
+    window of ``support_window`` particles starting at the first one no
+    further than support_radius below it (shifted left where the layout
+    ends). The window holds every particle within support_radius; the rest
+    carry exact zeros (Wendland) or less than exp(-64) of the peak
+    (Gaussian). Points go in blocks of at most ``BLOCK_VALUES`` kernel
+    values, each block a few array expressions whose temporaries are freed
+    before the next block. Each block's largest kernel modulus must be
+    within c (``check_kernel_bound``).
     """
     width = support_window(positions, spec)
     with np.errstate(over="ignore"):  # -inf starts at the first particle

@@ -18,6 +18,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qsph
 from qsph import cli, harness
@@ -85,7 +87,7 @@ def test_sweep_writes_expected_entries(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["4", "5", "6"]
     assert all(line.split(",")[1] == "wendland" for line in lines[1:])
     expected = run_convergence_sweep(
-        ExperimentConfig(kernel="wendland", eval_points=9), m_values=(4, 5, 6))
+        ExperimentConfig(kernel="wendland", eval_points=9), m_min=4, m_max=6)
     for line, (_, rms) in zip(lines[1:], expected):
         assert float(line.split(",")[3]) == rms
 
@@ -182,6 +184,45 @@ def test_sweep_has_no_qubits_flag(capsys):
         cli.main(["sweep", "--qubits", "5"])
     assert exc.value.code == 2
     assert "--qubits" in capsys.readouterr().err
+
+
+@st.composite
+def _drawn_argv(draw):
+    """A run or sweep at 3 points over a drawn domain, from a few ulps of its
+    left end wide up to 1e308, and drawn settings; ghosts and --h are drawn or
+    left to the config. Written to os.devnull."""
+    a = draw(st.floats(-1e308, 1e308))
+    log2_ulps = draw(st.floats(0.0, 20.0) | st.floats(0.0, 1023.0))
+    b = a + min(math.ulp(a) * 2.0 ** log2_ulps, 1e308)  # may overflow to inf
+    if draw(st.booleans()):
+        argv = ["run", "--qubits", str(draw(st.integers(2, 10)))]
+    else:
+        argv = ["sweep", "--m-min", str(draw(st.integers(2, 10))),
+                "--m-max", str(draw(st.integers(2, 10)))]
+    argv += ["--domain", repr(a), repr(b), "--points", "3", "--out", os.devnull,
+             "--kernel", draw(st.sampled_from(["gaussian", "wendland"])),
+             "--order", str(draw(st.integers(0, 2))),
+             "--estimator", draw(st.sampled_from(ESTIMATORS)),
+             "--norm", draw(st.sampled_from(harness.NORM_MODES)),
+             "--boundary", draw(st.sampled_from(harness.BOUNDARY_MODES))]
+    ghosts = draw(st.none() | st.integers(1, 2 ** 16))
+    if ghosts is not None:
+        argv += ["--boundary-particles", str(ghosts)]
+    # h from 2^-24 to 2^8 of the domain's length, so from well below dx to
+    # far beyond the ghosts that fit
+    log2_h = draw(st.none() | st.floats(-24.0, 8.0))
+    if log2_h is not None:
+        argv += ["--h", repr((b - a) * 2.0 ** log2_h)]
+    return argv
+
+
+@settings(deadline=None)
+@given(_drawn_argv())
+def test_any_run_or_sweep_exits_with_a_documented_code(argv):
+    """Nothing but the config checks the layout, so whatever the config
+    accepts must run to a documented exit: 0, 2 (configuration) or 3
+    (numerical), never a traceback or a numpy warning."""
+    assert cli.main(argv) in (0, 2, 3)
 
 
 def test_tiny_domain_sampled_run_is_finite(capsys):

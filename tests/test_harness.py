@@ -261,6 +261,10 @@ def test_config_accepts_a_domain_pair():
     ({"domain": "01"}, "domain"),
     ({"domain": b"01"}, "domain"),
     ({"domain": bytearray(b"01")}, "domain"),
+    # dx = 1 ulp of 1.0: the four centres round together
+    ({"qubits": 2, "domain": (1.0, 1.0 + 2.0 ** -50)}, "domain"),
+    # dx below 1 ulp of 1.0: the 2^16 centres collapse onto a few doubles
+    ({"qubits": 16, "domain": (1.0, 1.0 + 1e-14)}, "domain"),
 ])
 def test_config_rejections_name_the_field(kwargs, field):
     with pytest.raises(ConfigError, match=f"^{field}: "):
@@ -295,22 +299,25 @@ def test_layout_may_fill_twice_the_largest_register():
     assert ExperimentConfig(qubits=16, boundary_particles=2 ** 15).ghosts_per_end == 2 ** 15
 
 
+def _assert_finite_and_increasing(config):
+    p = uniform_positions(config.domain, config.num_particles, config.ghosts_per_end)
+    assert np.isfinite(p).all()
+    assert (p[1:] > p[:-1]).all()
+
+
 @settings(max_examples=300, deadline=None)
 @given(a=st.floats(-1e300, 1e300), ulps_per_cell=st.floats(0.25, 64.0),
        m=st.integers(2, 16), kernel=st.sampled_from(list(KernelFamily)))
 def test_accepted_domains_keep_the_particles_distinct(a, ulps_per_cell, m, kernel):
-    # cells a few ulps of a wide, where rounding can merge neighbours
+    # cells a few ulps of a wide, where rounding can merge neighbours; the
+    # config is the one check of the layout, so what it accepts must be sound
     b = a + ulps_per_cell * 2 ** m * math.ulp(a)
     try:
         config = ExperimentConfig(kernel=kernel, qubits=m, domain=(a, b))
     except ConfigError as exc:
         assert str(exc).startswith("domain:")
         return
-    try:
-        uniform_positions(config.domain, config.num_particles, config.ghosts_per_end)
-    except ValueError as exc:
-        # the config vouches for distinct positions only
-        assert "strictly increasing" not in str(exc)
+    _assert_finite_and_increasing(config)
 
 
 @pytest.mark.parametrize("kernel", list(KernelFamily))
@@ -318,7 +325,7 @@ def test_cells_of_32_ulps_are_accepted(kernel):
     for m in range(2, 17):
         config = ExperimentConfig(kernel=kernel, qubits=m,
                                   domain=(1.0, 1.0 + 2 ** m * 32 * math.ulp(1.0)))
-        uniform_positions(config.domain, config.num_particles, config.ghosts_per_end)
+        _assert_finite_and_increasing(config)
 
 
 def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
@@ -328,7 +335,7 @@ def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
     monkeypatch.setattr(harness, "_direct_sums", must_not_run)
     base = ExperimentConfig(domain=(1.0, 1.000000000001))
     with pytest.raises(ConfigError, match="domain: .* too short for 2"):
-        run_convergence_sweep(base, range(4, 17))
+        run_convergence_sweep(base, m_min=4, m_max=16)
 
 
 def test_curve_derives_abs_error_and_freezes_its_columns():
@@ -462,7 +469,7 @@ def test_sampled_run_is_deterministic_per_seed():
 
 def test_sweep_rms_strictly_decreases_for_smooth_target():
     base = ExperimentConfig(eval_points=33)
-    entries = run_convergence_sweep(base, m_values=(4, 5, 6, 7, 8))
+    entries = run_convergence_sweep(base, m_min=4, m_max=8)
     assert [m for m, _ in entries] == [4, 5, 6, 7, 8]
     rms = [r for _, r in entries]
     assert all(b < a for a, b in zip(rms, rms[1:]))
@@ -471,11 +478,10 @@ def test_sweep_rms_strictly_decreases_for_smooth_target():
 def test_gaussian_sweep_falls_3x_per_qubit_with_derived_ghosts():
     """With the support-derived ghost count the Gaussian error keeps falling
     exponentially in the qubit count up to m = 16, for orders 0 to 2."""
-    ms = range(8, 17)
     for order in (0, 1, 2):
         rms = [r for _, r in run_convergence_sweep(
-            ExperimentConfig(derivative_order=order), m_values=ms)]
-        assert (rms[0] / rms[-1]) ** (1.0 / (len(ms) - 1)) >= 3.0, (order, rms)
+            ExperimentConfig(derivative_order=order), m_min=8, m_max=16)]
+        assert (rms[0] / rms[-1]) ** (1.0 / (len(rms) - 1)) >= 3.0, (order, rms)
 
 
 def _target_derivative(x: np.ndarray, n: int) -> np.ndarray:
@@ -547,7 +553,7 @@ def test_sweep_equals_the_rms_of_each_run_bit_for_bit(kernel, order, estimator):
                                     norm_mode=norm_mode, estimator=estimator,
                                     boundary_values=boundary, shots=1000, seed=5)
             want = [(m, rms_error(run_experiment(replace(base, qubits=m)))) for m in ms]
-            assert run_convergence_sweep(base, ms) == want
+            assert run_convergence_sweep(base, m_min=2, m_max=8) == want
 
 
 def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
@@ -559,7 +565,7 @@ def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
     for kernel in KernelFamily:
         base = ExperimentConfig(kernel=kernel, qubits=6, eval_points=9)
         run_experiment(base)
-        run_convergence_sweep(base, m_values=(4, 5))
+        run_convergence_sweep(base, m_min=4, m_max=5)
     with pytest.raises(AssertionError, match="coefficient_norm called"):
         run_experiment(replace(base, norm_mode="integral"))
 
@@ -579,7 +585,7 @@ def test_runs_and_sweeps_evaluate_kernels_where_the_benchmark_tracer_wraps_them(
     for kernel in KernelFamily:
         base = ExperimentConfig(kernel=kernel, qubits=5, eval_points=9)
         for run in (lambda: run_experiment(base),
-                    lambda: run_convergence_sweep(base, m_values=(4, 5))):
+                    lambda: run_convergence_sweep(base, m_min=4, m_max=5)):
             calls.clear()
             run()
             assert calls and all(type(spec) is KernelSpec and spec.family is kernel
@@ -609,24 +615,22 @@ def test_the_benchmark_tracer_counts_a_run_and_puts_every_function_back(monkeypa
 
 
 def test_sweep_rejects_bad_m_sequences():
-    base = ExperimentConfig(eval_points=5)
-    for bad in ([], [5, 4], [4, 4]):
-        with pytest.raises(ValueError):
-            run_convergence_sweep(base, m_values=bad)
+    with pytest.raises(ConfigError, match="^m_min: 5 exceeds m_max 4$"):
+        run_convergence_sweep(ExperimentConfig(eval_points=5), m_min=5, m_max=4)
 
 
 def test_sweep_checks_every_m_before_running_any(monkeypatch):
     runs = []
     monkeypatch.setattr(harness, "_direct_sums", lambda config, xs: runs.append(config))
-    with pytest.raises(ConfigError, match="qubits"):
-        run_convergence_sweep(ExperimentConfig(eval_points=5), m_values=[4, 17])
+    with pytest.raises(ConfigError, match="^m_max: "):
+        run_convergence_sweep(ExperimentConfig(eval_points=5), m_max=17)
     assert runs == []
 
 
 def test_sweep_keeps_an_explicit_smoothing_length_fixed():
-    default_h = run_convergence_sweep(ExperimentConfig(eval_points=9), m_values=(4, 5))
+    default_h = run_convergence_sweep(ExperimentConfig(eval_points=9), m_min=4, m_max=5)
     pinned_h = run_convergence_sweep(
-        ExperimentConfig(eval_points=9, smoothing_length=0.5), m_values=(4, 5))
+        ExperimentConfig(eval_points=9, smoothing_length=0.5), m_min=4, m_max=5)
     assert all(abs(a[1] - b[1]) > 1e-6 for a, b in zip(default_h, pinned_h))
 
 

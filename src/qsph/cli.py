@@ -1,8 +1,9 @@
 """Command-line front end: `qsph run` for curves, `qsph sweep` for RMS vs m.
 
 This module only parses. ``ExperimentConfig`` owns each setting's default,
-type and valid range, and ``run_convergence_sweep`` the sweep's m_min and
-m_max (their defaults are ``SWEEP_M_RANGE``); the choices and the defaults
+type and valid range, and ``run_convergence_sweep`` the sweep's m_max: a
+sweep runs the config at its qubits (--m-min), then each larger m up to
+m_max. Their defaults are ``SWEEP_M_RANGE``; the choices and the defaults
 in the help come from there. Every flag of a subcommand can also come from
 a JSON config file (--config FILE) whose keys are its long flag names with
 dashes as underscores; explicit flags override file values.
@@ -97,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="RMS-vs-m convergence CSV",
                            argument_default=argparse.SUPPRESS)
     sweep_flags = [
-        sweep.add_argument("--m-min", type=int, help=f"smallest register size (default {m_min})"),
+        sweep.add_argument("--m-min", dest="qubits", type=int, metavar="M_MIN",
+                           help=f"smallest register size (default {m_min})"),
         sweep.add_argument("--m-max", type=int, help=f"largest register size (default {m_max})")]
     for p, flags in ((run, run_flags), (sweep, sweep_flags)):
         p._negative_number_matcher = NEGATIVE_NUMBER
@@ -138,9 +140,9 @@ def _cmd_run(settings: dict, out: str | None) -> int:
 
 
 def _cmd_sweep(settings: dict, out: str | None) -> int:
-    m_range = {k: settings.pop(k) for k in ("m_min", "m_max") if k in settings}
-    config = ExperimentConfig(**settings)
-    entries = run_convergence_sweep(config, **m_range)
+    m_max = settings.pop("m_max", SWEEP_M_RANGE[1])
+    config = ExperimentConfig(**{"qubits": SWEEP_M_RANGE[0], **settings})
+    entries = run_convergence_sweep(config, m_max)
     if not all(math.isfinite(rms) for _, rms in entries):
         print("numerical failure: non-finite RMS in the sweep", file=sys.stderr)
         return EXIT_NUMERIC

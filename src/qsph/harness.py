@@ -112,7 +112,7 @@ _INTEGER_RANGES = {
 }
 
 
-# a sweep's default m_min and m_max
+# a sweep's defaults: the qubits it starts at (the CLI's --m-min) and m_max
 SWEEP_M_RANGE = (4, 8)
 
 
@@ -453,12 +453,13 @@ def rms_error(curve: Curve) -> float:
     return _rms(curve.abs_error)
 
 
-def run_convergence_sweep(base: ExperimentConfig, m_min: int = SWEEP_M_RANGE[0],
+def run_convergence_sweep(base: ExperimentConfig,
                           m_max: int = SWEEP_M_RANGE[1]) -> list[tuple[int, float]]:
-    """RMS error per register size m = m_min..m_max, re-deriving h for each m.
+    """RMS error per register size m = base.qubits..m_max: the config at its
+    qubits, then each larger m up to m_max, re-deriving h for each m.
 
-    m_min and m_max must be valid qubits, with m_min <= m_max; a ConfigError
-    names the one that is not. An explicit smoothing_length in the base
+    m_max must be a valid qubits no smaller than base.qubits; a ConfigError
+    names m_max if it is not. An explicit smoothing_length in the base
     config is kept fixed across the sweep instead. Every m's config is
     checked before any m runs. Each entry is what
     ``rms_error(run_experiment(...))`` gives for that m, bit for bit,
@@ -466,11 +467,8 @@ def run_convergence_sweep(base: ExperimentConfig, m_min: int = SWEEP_M_RANGE[0],
     depend on m, so they are computed once, and each m computes only its
     sums, its readout and the RMS.
     """
-    lo, hi = _INTEGER_RANGES["qubits"]
-    m_min, m_max = _integer("m_min", m_min, lo, hi), _integer("m_max", m_max, lo, hi)
-    if m_min > m_max:
-        raise ConfigError(f"m_min: {m_min} exceeds m_max {m_max}")
-    configs = [replace(base, qubits=m) for m in range(m_min, m_max + 1)]
+    m_max = _integer("m_max", m_max, base.qubits, _INTEGER_RANGES["qubits"][1])
+    configs = [base] + [replace(base, qubits=m) for m in range(base.qubits + 1, m_max + 1)]
     xs = np.linspace(*base.domain, base.eval_points)
     exact = target_function(xs, base.derivative_order)
     entries = []

@@ -15,6 +15,7 @@ import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from qsph.harness import (
     ESTIMATORS,
     Curve,
     ExperimentConfig,
+    rms_error,
     run_convergence_sweep,
     run_experiment,
 )
@@ -87,9 +89,54 @@ def test_sweep_writes_expected_entries(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["4", "5", "6"]
     assert all(line.split(",")[1] == "wendland" for line in lines[1:])
     expected = run_convergence_sweep(
-        ExperimentConfig(kernel="wendland", eval_points=9), m_min=4, m_max=6)
+        replace(ExperimentConfig(kernel="wendland", eval_points=9), qubits=4), m_max=6)
     for line, (_, rms) in zip(lines[1:], expected):
         assert float(line.split(",")[3]) == rms
+
+
+# 2^6 particles have distinct positions on [1, 1 + 2e-13], 2^8 (the run's
+# default qubits) do not
+SHORT_DOMAIN = (1.0, 1.0000000000002)
+
+
+@pytest.mark.parametrize("config, flags, ms", [
+    (None, ["--m-max", "6"], range(4, 7)),
+    ({"m_min": 5, "m_max": 6}, [], range(5, 7)),
+])
+def test_sweep_runs_from_m_min_on_a_domain_too_short_for_the_run_default(
+        tmp_path, config, flags, ms):
+    argv = ["sweep", "--domain", *map(repr, SHORT_DOMAIN), *flags,
+            "--out", str(tmp_path / "sweep.csv")]
+    if config is not None:
+        (tmp_path / "exp.json").write_text(json.dumps(config))
+        argv += ["--config", str(tmp_path / "exp.json")]
+    assert cli.main(argv) == 0
+    rows = [line.split(",") for line in (tmp_path / "sweep.csv").read_text().splitlines()[1:]]
+    assert [(int(m), float(rms)) for m, _, _, rms in rows] == [
+        (m, rms_error(run_experiment(ExperimentConfig(qubits=m, domain=SHORT_DOMAIN))))
+        for m in ms]
+
+
+def test_a_sweep_validates_one_config_per_m_it_runs(monkeypatch):
+    cli.build_parser()  # its help's defaults come from a config of their own
+    post_init, qubits = ExperimentConfig.__post_init__, []
+
+    def counted(config):
+        qubits.append(config.qubits)
+        post_init(config)
+    monkeypatch.setattr(ExperimentConfig, "__post_init__", counted)
+    assert cli.main(["sweep", "--m-min", "4", "--m-max", "6", "--points", "3",
+                     "--out", os.devnull]) == 0
+    assert qubits == [4, 5, 6]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--m-min", "1"], "qubits: must be in [2, 16], got 1"),
+    (["--m-min", "5", "--m-max", "4"], "m_max: must be in [5, 16], got 4"),
+])
+def test_a_bad_sweep_range_names_its_field(capsys, argv, message):
+    assert cli.main(["sweep", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
 
 
 def test_config_file_supplies_settings(tmp_path):

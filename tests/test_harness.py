@@ -335,7 +335,7 @@ def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
     monkeypatch.setattr(harness, "_direct_sums", must_not_run)
     base = ExperimentConfig(domain=(1.0, 1.000000000001))
     with pytest.raises(ConfigError, match="domain: .* too short for 2"):
-        run_convergence_sweep(base, m_min=4, m_max=16)
+        run_convergence_sweep(replace(base, qubits=4), m_max=16)
 
 
 def test_curve_derives_abs_error_and_freezes_its_columns():
@@ -469,7 +469,7 @@ def test_sampled_run_is_deterministic_per_seed():
 
 def test_sweep_rms_strictly_decreases_for_smooth_target():
     base = ExperimentConfig(eval_points=33)
-    entries = run_convergence_sweep(base, m_min=4, m_max=8)
+    entries = run_convergence_sweep(replace(base, qubits=4), m_max=8)
     assert [m for m, _ in entries] == [4, 5, 6, 7, 8]
     rms = [r for _, r in entries]
     assert all(b < a for a, b in zip(rms, rms[1:]))
@@ -480,7 +480,7 @@ def test_gaussian_sweep_falls_3x_per_qubit_with_derived_ghosts():
     exponentially in the qubit count up to m = 16, for orders 0 to 2."""
     for order in (0, 1, 2):
         rms = [r for _, r in run_convergence_sweep(
-            ExperimentConfig(derivative_order=order), m_min=8, m_max=16)]
+            replace(ExperimentConfig(derivative_order=order), qubits=8), m_max=16)]
         assert (rms[0] / rms[-1]) ** (1.0 / (len(rms) - 1)) >= 3.0, (order, rms)
 
 
@@ -553,7 +553,7 @@ def test_sweep_equals_the_rms_of_each_run_bit_for_bit(kernel, order, estimator):
                                     norm_mode=norm_mode, estimator=estimator,
                                     boundary_values=boundary, shots=1000, seed=5)
             want = [(m, rms_error(run_experiment(replace(base, qubits=m)))) for m in ms]
-            assert run_convergence_sweep(base, m_min=2, m_max=8) == want
+            assert run_convergence_sweep(replace(base, qubits=2), m_max=8) == want
 
 
 def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
@@ -565,7 +565,7 @@ def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
     for kernel in KernelFamily:
         base = ExperimentConfig(kernel=kernel, qubits=6, eval_points=9)
         run_experiment(base)
-        run_convergence_sweep(base, m_min=4, m_max=5)
+        run_convergence_sweep(replace(base, qubits=4), m_max=5)
     with pytest.raises(AssertionError, match="coefficient_norm called"):
         run_experiment(replace(base, norm_mode="integral"))
 
@@ -585,7 +585,7 @@ def test_runs_and_sweeps_evaluate_kernels_where_the_benchmark_tracer_wraps_them(
     for kernel in KernelFamily:
         base = ExperimentConfig(kernel=kernel, qubits=5, eval_points=9)
         for run in (lambda: run_experiment(base),
-                    lambda: run_convergence_sweep(base, m_min=4, m_max=5)):
+                    lambda: run_convergence_sweep(replace(base, qubits=4), m_max=5)):
             calls.clear()
             run()
             assert calls and all(type(spec) is KernelSpec and spec.family is kernel
@@ -615,8 +615,8 @@ def test_the_benchmark_tracer_counts_a_run_and_puts_every_function_back(monkeypa
 
 
 def test_sweep_rejects_bad_m_sequences():
-    with pytest.raises(ConfigError, match="^m_min: 5 exceeds m_max 4$"):
-        run_convergence_sweep(ExperimentConfig(eval_points=5), m_min=5, m_max=4)
+    with pytest.raises(ConfigError, match=r"^m_max: must be in \[5, 16\], got 4$"):
+        run_convergence_sweep(replace(ExperimentConfig(eval_points=5), qubits=5), m_max=4)
 
 
 def test_sweep_checks_every_m_before_running_any(monkeypatch):
@@ -628,9 +628,10 @@ def test_sweep_checks_every_m_before_running_any(monkeypatch):
 
 
 def test_sweep_keeps_an_explicit_smoothing_length_fixed():
-    default_h = run_convergence_sweep(ExperimentConfig(eval_points=9), m_min=4, m_max=5)
+    default_h = run_convergence_sweep(replace(ExperimentConfig(eval_points=9), qubits=4),
+                                      m_max=5)
     pinned_h = run_convergence_sweep(
-        ExperimentConfig(eval_points=9, smoothing_length=0.5), m_min=4, m_max=5)
+        replace(ExperimentConfig(eval_points=9, smoothing_length=0.5), qubits=4), m_max=5)
     assert all(abs(a[1] - b[1]) > 1e-6 for a, b in zip(default_h, pinned_h))
 
 

@@ -7,9 +7,9 @@ through an idealized phase-estimation quantizer. A run computes Re <a|W>
 from the direct sums and never builds the registers. Run-path submodules:
 
 kernels        -- Gaussian / Wendland kernels, derivatives, peak constants
-discretization -- the uniform 1-D particle layout with ghost particles
 sph_encoding   -- the batched direct sums, ||a|| and the register length
-harness        -- end-to-end experiments as closed forms in Re <a|W>,
+harness        -- the uniform 1-D particle layout with ghost particles;
+                  end-to-end experiments as closed forms in Re <a|W>,
                   returned as float columns; RMS convergence, CSV output
 cli            -- `qsph run` and `qsph sweep`
 

@@ -27,7 +27,6 @@ from functools import partial
 import numpy as np
 
 from ._g17 import csv_lines
-from .discretization import uniform_positions
 from .kernels import (
     DERIVATIVE_ORDERS,
     KernelFamily,
@@ -335,6 +334,33 @@ def phase_index(rho: np.ndarray, pe_qubits: int) -> np.ndarray:
     theta = np.arctan2(np.sqrt(1.0 + rho), np.sqrt(1.0 - rho))
     grid = 2 ** pe_qubits
     return np.clip(np.ceil(theta * grid / np.pi - 0.5), 0, grid - 1)
+
+
+def uniform_positions(domain: tuple[float, float], num_particles: int,
+                      n_boundary_each_end: int = 0) -> np.ndarray:
+    """Centres of a uniform partition of the domain (a, b) and its ghosts.
+
+    With dx = (b - a) / num_particles, particle k (counting from -nb, the
+    first ghost below a) sits at a + (k + 1/2) dx, and the j-th ghost above
+    b at b + (j + 1/2) dx: the ghosts continue the spacing beyond each end,
+    which mitigates kernel-support truncation near a or b. The (k + 1/2) dx
+    offsets keep the layout of a dyadic domain bit-exactly mirror-symmetric,
+    which the odd-kernel cancellation tests rely on; a ghost below a comes
+    out as a + (-(j + 1/2) dx), which is a - (j + 1/2) dx exactly. The array
+    is built in place, with no temporary of its size. For the domain,
+    particle count and ghosts of a validated ``ExperimentConfig`` the
+    positions are finite and strictly increasing (its distinctness bound
+    reasons about this rounding), so nothing checks them again.
+    """
+    n, nb = num_particles, n_boundary_each_end
+    a, b = domain
+    dx = (b - a) / n
+    positions = np.arange(-nb, n + nb, dtype=float)
+    positions += 0.5
+    positions *= dx
+    positions += a
+    positions[nb + n:] = b + (np.arange(nb) + 0.5) * dx
+    return positions
 
 
 def particles(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,6 @@ from itertools import product
 
 import numpy as np
 
-from qsph.discretization import uniform_positions
 from qsph.harness import (
     ExperimentConfig,
     particles,
@@ -20,6 +19,7 @@ from qsph.harness import (
     rms_error,
     run_experiment,
     shot_counts,
+    uniform_positions,
 )
 from qsph.kernels import KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.quantum_state import inner_product, normalize

@@ -337,6 +337,17 @@ def test_all_zero_target_exits_3(capsys, command):
     assert "numerical failure: all-zero samples" in err
 
 
+def test_a_zero_integral_norm_estimate_exits_3(capsys):
+    # f underflows to 0 at every quadrature node of [2.7e153, 5e153], while the
+    # ghosts reach down near 0, where f is not 0, so ||a|| itself is not 0
+    assert cli.main(["run", "--qubits", "2", "--points", "2", "--norm", "integral",
+                     "--domain", "2.7e153", "5e153"]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == ("numerical failure: the integral norm estimate is 0: "
+                   "f is 0 at all 1001 quadrature nodes\n")
+
+
 @pytest.mark.parametrize("extra", [
     # Gaussian W'' where (r/h)^2 overflows, Wendland's (1 - q/2)^4 likewise,
     # and the target's f'' where (1 + 25 x^2)^3 does
@@ -576,23 +587,28 @@ def test_public_names_and_the_version_have_one_source():
     assert qsph.__version__ == version.group(1)
 
 
-RUN_PATH_MODULES = ("harness", "sph_encoding", "discretization", "kernels", "cli", "_g17")
+# the dense oracle: the tests' reference, which no run imports; every other
+# module of the package is run path
+ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")
 # name -> why it stays although no package module refers to it
 UNREFERENCED_ALLOWED = {
     "FunctionSamples": "bench/tracing.py imports it, until the tracer reads the "
-                       "run's own stage record (ROADMAP Direction 1)",
+                       "run's own stage record (ROADMAP Direction 3)",
 }
 
 
 def test_every_run_path_definition_is_used_or_public():
-    # the oracle modules (quantum_state, registers, swap_test) are the tests'
-    # reference, so only run-path definitions must have a use in the package
+    # only run-path definitions must have a use in the package; the run-path
+    # modules are derived, so an added or renamed module cannot slip out
     package = Path(qsph.__file__).resolve().parent
     trees = {path.stem: ast.parse(path.read_text()) for path in package.glob("*.py")}
+    oracle = {name.removeprefix("qsph.") for name in ORACLE_MODULES}
+    assert oracle <= set(trees)
+    run_path = set(trees) - oracle
     used = {node.id if isinstance(node, ast.Name) else node.attr
             for tree in trees.values() for node in ast.walk(tree)
             if isinstance(node, (ast.Name, ast.Attribute))}
-    defined = {node.name for stem in RUN_PATH_MODULES for node in trees[stem].body
+    defined = {node.name for stem in run_path for node in trees[stem].body
                if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
     unused = defined - used - set(qsph.__all__)
     assert sorted(unused) == sorted(UNREFERENCED_ALLOWED)
@@ -626,7 +642,6 @@ def test_a_full_stdout_exits_1_with_one_write_error(tmp_path):
         "write error: stdout: [Errno 28] No space left on device"]
 
 
-ORACLE_MODULES = ("qsph.quantum_state", "qsph.registers", "qsph.swap_test")
 # exact rational arithmetic: importing it would lengthen every run's set-up
 EXACT_MODULES = ("fractions", "decimal")
 # the writer formats its own bytes; no run parses or writes through csv

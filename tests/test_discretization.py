@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qsph.discretization import uniform_positions
+from qsph.harness import uniform_positions
 from qsph.registers import build_a
 
 

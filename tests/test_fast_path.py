@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsph.discretization import uniform_positions
 from qsph.harness import (
     ExperimentConfig,
     particles,
@@ -23,6 +22,7 @@ from qsph.harness import (
     run_experiment,
     shot_counts,
     target_function,
+    uniform_positions,
 )
 from qsph.kernels import KernelFamily, KernelSpec, scaling_constant
 from qsph.quantum_state import inner_product

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsph import _g17, harness, sph_encoding
-from qsph.discretization import uniform_positions
 from qsph.harness import (
     CSV_HEADER,
     ConfigError,
@@ -27,6 +26,7 @@ from qsph.harness import (
     run_convergence_sweep,
     run_experiment,
     target_function,
+    uniform_positions,
     write_rows,
     write_sweep,
 )
@@ -356,6 +356,13 @@ def test_curve_derives_abs_error_and_freezes_its_columns():
 def test_rms_error_hand_value():
     curve = Curve([0.0, 1.0], [3.0, 4.0], [0.0, 0.0])
     assert rms_error(curve) == math.sqrt(12.5)
+
+
+def test_rms_error_is_inf_where_the_sum_of_finite_squares_overflows():
+    # each square, 1.69e308, is finite; their sum is not, and fsum raises
+    curve = Curve([0.0, 1.0], [1.3e154, 1.3e154], [0.0, 0.0])
+    assert math.isfinite(float(curve.abs_error[0] ** 2))
+    assert rms_error(curve) == math.inf
 
 
 def test_rms_error_rejects_empty_input():

@@ -14,8 +14,7 @@ from hypothesis import strategies as st
 import qsph
 import qsph.registers
 import qsph.sph_encoding
-from qsph.discretization import uniform_positions
-from qsph.harness import ExperimentConfig, particles, run_experiment
+from qsph.harness import ExperimentConfig, particles, run_experiment, uniform_positions
 from qsph.kernels import DERIVATIVE_ORDERS, KernelFamily, KernelSpec, evaluate, scaling_constant
 from qsph.registers import EncodedPair, build_a, build_w, encode, reconstruct
 from qsph.sph_encoding import (
@@ -433,8 +432,7 @@ def test_reconstruct_scales_linearly(lam):
 
 NORMS_AS_HEX = """
 import numpy as np
-from qsph.discretization import uniform_positions
-from qsph.harness import target_function
+from qsph.harness import target_function, uniform_positions
 from qsph.sph_encoding import coefficient_norm
 for ghosts in (17, 5):  # the default Gaussian and Wendland layouts
     for m in (14, 16):

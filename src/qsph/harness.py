@@ -382,20 +382,13 @@ def particles(config: ExperimentConfig) -> tuple[np.ndarray, np.ndarray]:
     return positions, coeff
 
 
-def _direct_sums(config: ExperimentConfig, xs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The sums every readout starts from, for the configured layout: S =
-    sum_k a_k W_k at each query point of xs (one ``kernel_sums`` pass), and
-    the coefficients a_k of ``particles``."""
-    positions, coeff = particles(config)
-    return kernel_sums(positions, coeff, config.kernel_spec, xs), coeff
-
-
-def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
-             coeff: np.ndarray) -> np.ndarray:
-    """The values an estimator reads out of the direct sums S = sums.
+def _approximate(config: ExperimentConfig, xs: np.ndarray) -> np.ndarray:
+    """The configured approximation at each query point of xs: the direct
+    sum S = sum_k a_k W_k over the layout of ``particles``, for all points
+    in one ``kernel_sums`` pass, read out by config.estimator.
 
     rho = Re <a|W> = S / (c N ||a||), and norm_a is the ||a|| the readout
-    multiplies back: the exact ``coefficient_norm`` of coeff or, with
+    multiplies back: the exact ``coefficient_norm`` of the a_k or, with
     norm_mode "integral", its quadrature estimate.
 
     * exact:   S norm_a / ||a||. With the exact norm the ratio is 1.0, so
@@ -407,6 +400,9 @@ def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
     * phase:   c N norm_a (2 sin^2(theta_k) - 1), with theta_k the
                quantized angle of ``phase_index``.
     """
+    positions, coeff = particles(config)
+    sums = kernel_sums(positions, coeff, config.kernel_spec, xs)
+    estimator = config.estimator
     if estimator == "exact" and config.norm_mode == "exact":
         coefficient_peak(coeff)  # raises where ||a|| is 0, as coefficient_norm does
         return sums
@@ -435,7 +431,7 @@ def _readout(estimator: str, config: ExperimentConfig, sums: np.ndarray,
 def run_experiment(config: ExperimentConfig) -> Curve:
     """Approximate the target at every query point, as one ``Curve``.
 
-    Every readout is a closed form (see ``_readout``) in the direct sum
+    Every readout is a closed form (see ``_approximate``) in the direct sum
     S = sum_k a_k W_k at each point, computed for all points at once by
     ``kernel_sums``, and in rho = Re <a|W> = S / (c N ||a||). ``|a>`` does
     not depend on x, so its norm is computed once, and only for a readout
@@ -446,9 +442,7 @@ def run_experiment(config: ExperimentConfig) -> Curve:
     Neither module is imported here.
     """
     xs = np.linspace(*config.domain, config.eval_points)
-    sums, coeff = _direct_sums(config, xs)
-    approx = _readout(config.estimator, config, sums, coeff)
-    return Curve(xs, target_function(xs, config.derivative_order), approx)
+    return Curve(xs, target_function(xs, config.derivative_order), _approximate(config, xs))
 
 
 def all_finite(curve: Curve) -> bool:
@@ -491,18 +485,13 @@ def run_convergence_sweep(base: ExperimentConfig,
     ``rms_error(run_experiment(...))`` gives for that m, bit for bit,
     without the ``Curve``: the query points and the exact values do not
     depend on m, so they are computed once, and each m computes only its
-    sums, its readout and the RMS.
+    ``_approximate`` values and the RMS.
     """
     m_max = _integer("m_max", m_max, base.qubits, _INTEGER_RANGES["qubits"][1])
     configs = [base] + [replace(base, qubits=m) for m in range(base.qubits + 1, m_max + 1)]
     xs = np.linspace(*base.domain, base.eval_points)
     exact = target_function(xs, base.derivative_order)
-    entries = []
-    for c in configs:
-        sums, coeff = _direct_sums(c, xs)
-        approx = _readout(c.estimator, c, sums, coeff)
-        entries.append((c.qubits, _rms(_abs_error(exact, approx))))
-    return entries
+    return [(c.qubits, _rms(_abs_error(exact, _approximate(c, xs)))) for c in configs]
 
 
 def write_rows(stream, curve: Curve) -> None:
@@ -570,20 +559,21 @@ class ErrorDecomposition:
 def decompose_error(config: ExperimentConfig) -> ErrorDecomposition:
     """Attribute the configured run's error additively to its sources.
 
-    Computes the direct sums once, then reads out the exact baseline, the
-    configured norm and the configured estimator from them, differencing
-    each stage against the previous one.
+    Reads each stage at the same query points from its own
+    ``_approximate`` pass: the exact baseline (exact estimator, exact
+    norm), the configured norm with the exact estimator and, for a sampled
+    or phase estimator, the configured run; then differences each stage
+    against the previous one.
     """
     xs = np.linspace(*config.domain, config.eval_points)
-    sums, coeff = _direct_sums(config, xs)
     truth = target_function(xs, config.derivative_order)
-    base = sums  # the exact readout with the exact norm is S itself
-    norm_vals = _readout("exact", config, sums, coeff)
+    base = _approximate(replace(config, estimator="exact", norm_mode="exact"), xs)
+    norm_vals = _approximate(replace(config, estimator="exact"), xs)
     zeros = np.zeros_like(base)
     shot_delta = zeros
     quant_delta = zeros
     if config.estimator != "exact":
-        final = _readout(config.estimator, config, sums, coeff)
+        final = _approximate(config, xs)
         if config.estimator == "sampled":
             shot_delta = final - norm_vals
         else:

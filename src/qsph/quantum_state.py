@@ -51,9 +51,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.size
 
-    def __len__(self) -> int:
-        return self.amplitudes.size
-
 
 def basis_state(dim: int, k: int) -> StateVector:
     """Computational basis state |k> in dimension dim."""

@@ -203,7 +203,7 @@ def test_criterion_7_sampled_estimator_statistics(capsys):
     y = _random_unit(rng, 4)
     rho = inner_product(x, y).real
     shots = 10_000
-    # the p0 = (1 + rho) / 2 that _readout forms, one run's stream per seed
+    # the p0 = (1 + rho) / 2 that _approximate forms, one run's stream per seed
     p0 = np.array([(1.0 + rho) / 2.0])
     estimates = np.array([2.0 * shot_counts(p0, shots, s)[0] / shots - 1.0
                           for s in range(200)])

@@ -1,4 +1,7 @@
-"""Particle layout construction: centres and ghost particles."""
+"""Particle layout construction: centres and ghost particles of
+``harness.uniform_positions`` and the oracle's ``registers.build_a``. The
+file keeps the name of the module that first held the layout, so the ids of
+its tests stay as they were."""
 import numpy as np
 import pytest
 from hypothesis import given

@@ -330,9 +330,9 @@ def test_cells_of_32_ulps_are_accepted(kernel):
 
 def test_sweep_rejects_an_unrepresentable_grid_before_running(monkeypatch):
     # [1, 1 + 1e-12] has distinct particles up to m = 9 or so; m = 16 has none
-    def must_not_run(config, xs):
+    def must_not_run(config):
         raise AssertionError(f"ran m = {config.qubits}")
-    monkeypatch.setattr(harness, "_direct_sums", must_not_run)
+    monkeypatch.setattr(harness, "particles", must_not_run)
     base = ExperimentConfig(domain=(1.0, 1.000000000001))
     with pytest.raises(ConfigError, match="domain: .* too short for 2"):
         run_convergence_sweep(replace(base, qubits=4), m_max=16)
@@ -564,8 +564,9 @@ def test_sweep_equals_the_rms_of_each_run_bit_for_bit(kernel, order, estimator):
 
 
 def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
-    """||a|| / ||a|| = 1, so the run and the sweep skip coefficient_norm; the
-    all-zero check still runs (test_all_zero_target_exits_3)."""
+    """||a|| / ||a|| = 1, so the run, the sweep and the decomposition skip
+    coefficient_norm; the all-zero check still runs
+    (test_all_zero_target_exits_3)."""
     def must_not_run(coeff):
         raise AssertionError("coefficient_norm called")
     monkeypatch.setattr(harness, "coefficient_norm", must_not_run)
@@ -573,6 +574,7 @@ def test_exact_readout_with_the_exact_norm_never_computes_the_norm(monkeypatch):
         base = ExperimentConfig(kernel=kernel, qubits=6, eval_points=9)
         run_experiment(base)
         run_convergence_sweep(replace(base, qubits=4), m_max=5)
+        decompose_error(base)
     with pytest.raises(AssertionError, match="coefficient_norm called"):
         run_experiment(replace(base, norm_mode="integral"))
 
@@ -628,7 +630,7 @@ def test_sweep_rejects_bad_m_sequences():
 
 def test_sweep_checks_every_m_before_running_any(monkeypatch):
     runs = []
-    monkeypatch.setattr(harness, "_direct_sums", lambda config, xs: runs.append(config))
+    monkeypatch.setattr(harness, "particles", runs.append)
     with pytest.raises(ConfigError, match="^m_max: "):
         run_convergence_sweep(ExperimentConfig(eval_points=5), m_max=17)
     assert runs == []
@@ -838,7 +840,7 @@ def test_decompose_error_telescopes_to_the_configured_run():
     ("sampled", "integral"), ("phase", "exact"), ("phase", "integral"), ("exact", "integral"),
 ])
 def test_decompose_error_equals_separate_runs_bit_for_bit(estimator, norm_mode):
-    """One pass of sums gives the components that separate runs give."""
+    """Each component is the difference of two separate runs' values."""
     cfg = ExperimentConfig(kernel="wendland", derivative_order=1, qubits=6, eval_points=17,
                            estimator=estimator, norm_mode=norm_mode, shots=300, seed=5,
                            pe_qubits=5)
@@ -866,10 +868,9 @@ def test_phase_readout_keeps_its_bound_at_the_pe_qubits_cap():
                     cfg = ExperimentConfig(kernel=kernel, derivative_order=order, qubits=m,
                                            norm_mode=norm_mode, estimator="phase",
                                            pe_qubits=n)
-                    xs = np.linspace(*cfg.domain, cfg.eval_points)
-                    sums, coeff = harness._direct_sums(cfg, xs)
-                    exact = harness._readout("exact", cfg, sums, coeff)
-                    phase = harness._readout("phase", cfg, sums, coeff)
+                    exact = run_experiment(replace(cfg, estimator="exact")).f_approx
+                    phase = run_experiment(cfg).f_approx
+                    coeff = harness.particles(cfg)[1]
                     norm_a = coefficient_norm(coeff)
                     if norm_mode == "integral":
                         norm_a = integral_norm_estimate(cfg.domain, target_function,

@@ -138,7 +138,7 @@ def test_repeated_rotation_closed_form():
         np.testing.assert_allclose(state.amplitudes, expected, atol=1e-8)
 
 
-def _phase_readout(rho, n_pe):
+def _phase_overlap(rho, n_pe):
     """2 sin^2(theta_k) - 1 at the grid angle theta_k of ``phase_index``."""
     theta = phase_index(np.asarray(rho, dtype=float), n_pe) * math.pi / 2 ** n_pe
     return 2.0 * np.sin(theta) ** 2 - 1.0
@@ -151,7 +151,7 @@ def test_shot_counts_certain_outcomes():
 def test_phase_index_on_grid_is_exact():
     # orthogonal pair: theta = pi/4 sits exactly on the n_pe = 2 grid
     assert phase_index(np.array([0.0]), 2).tolist() == [1]
-    assert abs(_phase_readout([0.0], 2)[0]) < 1e-15
+    assert abs(_phase_overlap([0.0], 2)[0]) < 1e-15
 
 
 def test_phase_index_respects_bound():
@@ -168,7 +168,7 @@ def test_phase_index_error_shrinks_with_register():
     rng = np.random.default_rng(17)
     x, y = random_pair(rng, d=4)
     exact = inner_product(x, y).real
-    errors = [abs(_phase_readout([exact], n)[0] - exact) for n in range(2, 13)]
+    errors = [abs(_phase_overlap([exact], n)[0] - exact) for n in range(2, 13)]
     bounds = [math.pi / 2 ** (n + 1) for n in range(2, 13)]
     # each quantization error respects its bound, and refining the register
     # pays off by a large factor across the sweep
